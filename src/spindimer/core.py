@@ -52,47 +52,56 @@ SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 TRIPLET_ZERO = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
 
 
+def float_or_array(x) -> float | np.ndarray:
+    """A 0-d result as a Python float, anything else as a float array."""
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
+
+
 @dataclass(frozen=True)
 class DimerParams:
-    """Physical parameters of one computation.
+    """Physical parameters of one computation, or of a batch of them.
 
     j_over_kb is the isotropic exchange constant divided by k_B, in kelvin;
     negative values are antiferromagnetic. b_field is the magnitude of the
-    field applied along z, in tesla.
+    field applied along z, in tesla. Each field is a float or a numpy array;
+    arrays broadcast against each other and every element is validated.
     """
 
-    j_over_kb: float
-    g: float
-    temperature: float
-    b_field: float = 0.0
+    j_over_kb: float | np.ndarray
+    g: float | np.ndarray
+    temperature: float | np.ndarray
+    b_field: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         for name in ("j_over_kb", "g", "temperature", "b_field"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if self.temperature <= 0.0:
+        if np.less_equal(self.temperature, 0.0).any():
             raise ValueError("temperature must be > 0 K")
-        if self.g <= 0.0:
+        if np.less_equal(self.g, 0.0).any():
             raise ValueError("g must be > 0")
 
     @property
-    def zeeman_kelvin(self) -> float:
+    def zeeman_kelvin(self) -> float | np.ndarray:
         """Zeeman energy scale h = g mu_B B / k_B, in kelvin."""
         return self.g * MU_B_KELVIN_PER_TESLA * self.b_field
 
 
 @dataclass(frozen=True)
 class Hamiltonian4:
-    """4x4 real symmetric two-spin Hamiltonian, entries in kelvin."""
+    """4x4 real symmetric two-spin Hamiltonian, entries in kelvin, or a
+    (..., 4, 4) stack of them, each checked on its own scale."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         h = np.asarray(self.entries, dtype=float)
-        if h.shape != (4, 4):
+        if h.shape[-2:] != (4, 4):
             raise ValueError("Hamiltonian must be 4x4")
-        scale = max(1.0, float(np.abs(h).max()))
-        if np.abs(h - h.T).max() > HERMITICITY_ATOL * scale:
+        scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+        asym = np.abs(h - np.swapaxes(h, -1, -2)).max(axis=(-2, -1))
+        if np.any(asym > HERMITICITY_ATOL * scale):
             raise ValueError("Hamiltonian must be symmetric")
         object.__setattr__(self, "entries", h)
         h.flags.writeable = False
@@ -101,20 +110,21 @@ class Hamiltonian4:
 @dataclass(frozen=True)
 class DensityMatrix4:
     """Two-qubit state: Hermitian, unit trace, positive semidefinite,
-    tagged with the product basis its entries refer to."""
+    tagged with the product basis its entries refer to. A (..., 4, 4) stack
+    holds one state per leading index, all in the same basis."""
 
     entries: np.ndarray
     basis: Basis
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.entries, dtype=complex)
-        if rho.shape != (4, 4):
+        if rho.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if np.abs(rho - rho.conj().T).max() > HERMITICITY_ATOL:
+        if np.any(np.abs(rho - np.swapaxes(rho, -1, -2).conj()) > HERMITICITY_ATOL):
             raise ValueError("density matrix must be Hermitian")
-        if abs(rho.trace() - 1.0) > TRACE_ATOL:
+        if np.any(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > TRACE_ATOL):
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(rho).min() < EIGENVALUE_FLOOR:
+        if np.any(np.linalg.eigvalsh(rho)[..., 0] < EIGENVALUE_FLOOR):
             raise ValueError("density matrix must be positive semidefinite")
         object.__setattr__(self, "entries", rho)
         rho.flags.writeable = False
@@ -124,10 +134,11 @@ def build_hamiltonian(params: DimerParams) -> Hamiltonian4:
     """Assemble -J S1.S2 - g mu_B B (S1z + S2z) in the S_z product basis.
 
     The spectrum is {-J/4 - h, -J/4, -J/4 + h, 3J/4} in kelvin, with
-    h = g mu_B B / k_B.
+    h = g mu_B B / k_B. Array parameters give one matrix per broadcast
+    element.
     """
-    j = params.j_over_kb
-    h = params.zeeman_kelvin
+    j = np.asarray(params.j_over_kb, dtype=float)[..., None, None]
+    h = np.asarray(params.zeeman_kelvin, dtype=float)[..., None, None]
     return Hamiltonian4(-j * _S1_DOT_S2 - h * _SZ_TOTAL)
 
 
@@ -138,29 +149,30 @@ def eigensystem(h: Hamiltonian4) -> tuple[np.ndarray, np.ndarray]:
     each eigenvector is made positive.
     """
     evals, evecs = np.linalg.eigh(h.entries)
-    for k in range(4):
-        lead = np.argmax(np.abs(evecs[:, k]))
-        if evecs[lead, k] < 0.0:
-            evecs[:, k] = -evecs[:, k]
-    return evals, evecs
+    lead = np.argmax(np.abs(evecs), axis=-2)[..., None, :]
+    flip = np.take_along_axis(evecs, lead, axis=-2) < 0.0
+    return evals, np.where(flip, -evecs, evecs)
 
 
-def gibbs_state(h: Hamiltonian4, temperature: float) -> DensityMatrix4:
+def gibbs_state(h: Hamiltonian4, temperature: float | np.ndarray) -> DensityMatrix4:
     """Thermal state exp(-H/T)/Z via eigendecomposition.
 
     Energies are shifted by the ground energy before exponentiating, so the
     Boltzmann weights cannot overflow even at sub-microkelvin temperatures;
-    anything non-finite that slips through raises NumericError.
+    anything non-finite that slips through raises NumericError. A stack of
+    Hamiltonians takes one temperature per matrix (or one for all) and is
+    diagonalized in a single call.
     """
-    if temperature <= 0.0:
+    t = np.asarray(temperature, dtype=float)
+    if np.any(t <= 0.0):
         raise ValueError("temperature must be > 0 K")
     evals, evecs = np.linalg.eigh(h.entries)
-    shifted = evals - evals.min()
-    weights = np.exp(-shifted / temperature)
+    shifted = evals - evals.min(axis=-1, keepdims=True)
+    weights = np.exp(-shifted / t[..., None])
     if not np.all(np.isfinite(weights)):
         raise NumericError("temperature underflow")
-    weights /= weights.sum()
-    rho = (evecs * weights) @ evecs.T
+    weights /= weights.sum(axis=-1, keepdims=True)
+    rho = (evecs * weights[..., None, :]) @ np.swapaxes(evecs, -1, -2)
     return DensityMatrix4(rho.astype(complex), Basis.SZ)
 
 

@@ -21,8 +21,9 @@ from .errors import DataError, NumericError
 from .models import (
     ChiUnit,
     SusceptibilityPoint,
-    coherence_from_chi,
+    bleaney_bowers_chi,
     coherence_longitudinal,
+    correlation_values,
 )
 from .sweep import SweepTable, _read_two_column_csv
 
@@ -105,14 +106,6 @@ def load_series(
     )
 
 
-def _bb_curve(t: np.ndarray, j: float, g: float) -> np.ndarray:
-    """Model chi in emu/mol on a temperature grid, overflow-safe."""
-    with np.errstate(over="ignore"):
-        e = np.exp(-j / t)
-    u = 1.0 / (3.0 + e)
-    return 2.0 * CURIE_EMU_K_PER_MOL * g * g * u / t
-
-
 def _bb_jacobian(t: np.ndarray, j: float, g: float) -> np.ndarray:
     """Columns (dchi/dJ, dchi/dg) of the model, overflow-safe.
 
@@ -172,7 +165,7 @@ def fit_bleaney_bowers(
     j, g = init if init is not None else _default_init(float(t[0]), float(y[0]))
 
     def rss_at(jv: float, gv: float) -> float:
-        r = y - _bb_curve(t, jv, gv)
+        r = y - bleaney_bowers_chi(jv, gv, t).chi
         return float(r @ r)
 
     lam = _LAMBDA_INIT
@@ -184,7 +177,7 @@ def fit_bleaney_bowers(
 
     while iterations < MAX_ITERATIONS:
         iterations += 1
-        residual = y - _bb_curve(t, j, g)
+        residual = y - bleaney_bowers_chi(j, g, t).chi
         jac = _bb_jacobian(t, j, g)
         jtj = jac.T @ jac
         # Both model derivatives vanish at g = 0, so the gradient is zero
@@ -254,31 +247,16 @@ def coherence_series(series: SusceptibilitySeries, fit: FitResult) -> SweepTable
     """
     if not fit.converged:
         raise DataError("fit did not converge; refusing to build the series")
-    temps: list[float] = []
-    c_exp: list[float] = []
-    c_th: list[float] = []
-    resid: list[float] = []
-    flags: list[str] = []
-    for point in series.points:
-        t = point.temperature
-        theory = coherence_longitudinal(
-            DimerParams(fit.j_over_kb, fit.g, t, 0.0)
-        ).value
-        try:
-            experimental = coherence_from_chi(point, fit.g).value
-            flag = ""
-        except DataError:
-            experimental = math.nan
-            flag = "unphysical"
-        temps.append(t)
-        c_exp.append(experimental)
-        c_th.append(theory)
-        resid.append(experimental - theory)
-        flags.append(flag)
+    temps = series.temperatures()
+    theory = coherence_longitudinal(DimerParams(fit.j_over_kb, fit.g, temps)).value
+    c, physical = correlation_values(
+        SusceptibilityPoint(temps, series.chi_values(), series.unit), fit.g
+    )
+    experimental = np.where(physical, np.abs(c), math.nan)
     return SweepTable(
         column_names=("T_kelvin", "C_experimental", "C_theoretical", "residual"),
-        values=np.array([temps, c_exp, c_th, resid], dtype=float).T,
-        annotations={"flag": tuple(flags)},
+        values=np.column_stack([temps, experimental, theory, experimental - theory]),
+        annotations={"flag": tuple(np.where(physical, "", "unphysical").tolist())},
         metadata={
             "sample_id": series.sample_id,
             "j_over_kb": repr(fit.j_over_kb),

@@ -5,11 +5,14 @@ coherence pipeline at zero field, the field-dressed thermal density matrices
 in both product bases, the partition function, the longitudinal and
 transverse coherence expressions, and the singlet level-crossing field.
 
-Every function here has an independent brute-force counterpart in `core`;
-the test suite holds the two routes together at tight tolerances.
+Every closed form is written on the ground-energy-shifted Boltzmann weights
+of the four levels, so every exponent is <= 0 and only the partition
+function itself can overflow. Parameters may be numpy arrays; scalars are
+the 0-d case. Every function here has an independent brute-force
+counterpart in `core`; the test suite holds the two routes together at
+tight tolerances.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +31,7 @@ from .core import (
     DimerParams,
     build_hamiltonian,
     eigensystem,
+    float_or_array,
 )
 from .errors import DataError, NumericError
 from .quantifiers import CoherenceValue
@@ -36,10 +40,33 @@ from .quantifiers import CoherenceValue
 # correlation range; anything beyond this band is a unit or normalization
 # mistake, not noise.
 CORRELATION_NOISE_TOL = 0.02
+_CORRELATION_BAND = (-1.0 - CORRELATION_NOISE_TOL, 1.0 / 3.0 + CORRELATION_NOISE_TOL)
 
-_BISECTION_B_MAX = 100.0
-_BISECTION_WIDTH = 1e-12
-_CROSS_CHECK_ATOL = 1e-9
+# Critical-field bisection width and route agreement, relative to
+# max(B_c, 100 T): 1e-12 T and 1e-9 T up to 100 T, growing with B_c beyond
+# that so the bisection always stops above the float spacing of B_c.
+_FIELD_SCALE_FLOOR = 100.0
+_BISECTION_RTOL = 1e-14
+_CROSS_CHECK_RTOL = 1e-11
+
+# Level energies are J * _J_COEF + h * _H_COEF, in the order singlet, then
+# triplet m = +1, 0, -1.
+_J_COEF = np.array([0.75, -0.25, -0.25, -0.25])
+_H_COEF = np.array([0.0, -1.0, 0.0, 1.0])
+
+# Sections per round of the critical-field bisection: one batched
+# diagonalization of the 63 inner edges narrows the bracket 64-fold.
+_SECTIONS = 64
+
+# The four level eigenstates, in the order of level_energies, written in the
+# S_z and in the S_x product basis.
+_S = 0.5**0.5
+_LEVEL_STATES = {
+    Basis.SZ: np.array([[0, _S, -_S, 0], [1, 0, 0, 0], [0, _S, _S, 0], [0, 0, 0, 1]]),
+    Basis.SX: np.array(
+        [[0, _S, -_S, 0], [0.5, 0.5, 0.5, 0.5], [_S, 0, 0, -_S], [0.5, -0.5, -0.5, 0.5]]
+    ),
+}
 
 
 class ChiUnit(Enum):
@@ -51,21 +78,25 @@ class ChiUnit(Enum):
 
 @dataclass(frozen=True)
 class SusceptibilityPoint:
-    """One (temperature, susceptibility) sample."""
+    """One (temperature, susceptibility) sample, or equal-shaped arrays of
+    them."""
 
-    temperature: float
-    chi: float
+    temperature: float | np.ndarray
+    chi: float | np.ndarray
     unit: ChiUnit = ChiUnit.EMU_PER_MOL
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.temperature) and np.isfinite(self.chi)):
+        t, chi = self.temperature, self.chi
+        # One check on the common path: ingest builds a point per data row.
+        if np.all((0.0 < t) & (t < np.inf) & (0.0 <= chi) & (chi < np.inf)):
+            return
+        if not np.all(np.isfinite(t) & np.isfinite(chi)):
             raise ValueError("susceptibility point must be finite")
-        if self.temperature <= 0.0:
+        if np.any(t <= 0.0):
             raise ValueError("temperature must be > 0 K")
-        if self.chi < 0.0:
-            raise ValueError("susceptibility must be >= 0 for this model")
+        raise ValueError("susceptibility must be >= 0 for this model")
 
-    def chi_emu(self) -> float:
+    def chi_emu(self) -> float | np.ndarray:
         """Susceptibility in emu/mol regardless of the stored unit."""
         if self.unit is ChiUnit.EMU_PER_MOL:
             return self.chi
@@ -80,12 +111,11 @@ class CorrelationValue:
     tolerated for noisy data (the zero-field state builder still rejects it).
     """
 
-    c: float
+    c: float | np.ndarray
 
     def __post_init__(self) -> None:
-        lo = -1.0 - CORRELATION_NOISE_TOL
-        hi = 1.0 / 3.0 + CORRELATION_NOISE_TOL
-        if not lo <= self.c <= hi:
+        lo, hi = _CORRELATION_BAND
+        if not np.all((lo <= self.c) & (self.c <= hi)):
             raise ValueError(f"correlation {self.c} outside [{lo}, {hi}]")
 
 
@@ -103,44 +133,87 @@ class CriticalField:
     tesla_bisection: float
 
 
+def level_energies(
+    j_over_kb: float | np.ndarray, zeeman_kelvin: float | np.ndarray
+) -> np.ndarray:
+    """Level energies in kelvin, stacked on a new last axis: singlet 3J/4,
+    then the triplet m = +1, 0, -1 levels -J/4 - h, -J/4, -J/4 + h."""
+    j = np.asarray(j_over_kb, dtype=float)[..., None]
+    return j * _J_COEF + np.asarray(zeeman_kelvin, dtype=float)[..., None] * _H_COEF
+
+
+def _shifted_weights(j, h, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For coupling j, Zeeman energy h and temperature t: the ground energy
+    E0, the sum S of the level weights exp(-(E - E0)/T), and the level
+    populations (weights / S) in level_energies order. Every exponent is
+    <= 0 and the ground level weighs 1, so nothing overflows and S >= 1;
+    Z = exp(-E0/T) S."""
+    energies = level_energies(j, h)
+    e0 = energies.min(axis=-1)
+    w = np.exp((e0[..., None] - energies) / np.asarray(t)[..., None])
+    total = w.sum(axis=-1)
+    return e0, total, w / total[..., None]
+
+
+def _populations(p: DimerParams) -> np.ndarray:
+    return _shifted_weights(p.j_over_kb, p.zeeman_kelvin, p.temperature)[2]
+
+
+def _level_mixture(p: np.ndarray, basis: Basis) -> DensityMatrix4:
+    """sum_k p_k |k><k| over the four levels (populations on the last axis
+    of p, in level_energies order), in the given product basis."""
+    states = _LEVEL_STATES[basis]
+    rho = np.einsum("...k,ki,kj->...ij", p, states, states)
+    return DensityMatrix4(rho.astype(complex), basis)
+
+
 def bleaney_bowers_chi(
     j_over_kb: float,
     g: float,
-    temperature: float,
+    temperature: float | np.ndarray,
     n_moles: float = 1.0,
     unit: ChiUnit = ChiUnit.EMU_PER_MOL,
 ) -> SusceptibilityPoint:
     """Dimer susceptibility 2 N (g mu_B)^2 / (k_B T) / (3 + exp(-J/k_B T)).
 
     N = n_moles * N_A dimers; with the default n_moles = 1 the result is
-    molar. The requested unit only rescales the stored value.
+    molar. The requested unit only rescales the stored value. The factor
+    1 / (3 + exp(-J/T)) is the zero-field population of the m = 0 triplet,
+    taken from the shifted weights, so chi stays finite for any J/T.
     """
-    if temperature <= 0.0:
+    if np.less_equal(temperature, 0.0).any():
         raise ValueError("temperature must be > 0 K")
-    chi_emu = (
-        n_moles
-        * 2.0
-        * g**2
-        * CURIE_EMU_K_PER_MOL
-        / (temperature * (3.0 + math.exp(-j_over_kb / temperature)))
-    )
+    triplet_zero = _shifted_weights(j_over_kb, 0.0, temperature)[2][..., 2]
+    chi_emu = n_moles * 2.0 * g**2 * CURIE_EMU_K_PER_MOL / temperature * triplet_zero
     chi = chi_emu if unit is ChiUnit.EMU_PER_MOL else chi_emu * SI_M3_PER_EMU
-    return SusceptibilityPoint(temperature, chi, unit)
+    return SusceptibilityPoint(temperature, float_or_array(chi), unit)
+
+
+def correlation_values(
+    point: SusceptibilityPoint, g: float, n_moles: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spin-spin correlation c = 2 k_B T chi_molar / (N_A g^2 mu_B^2) - 1 of
+    each sample, and the mask of samples inside the physical range widened
+    by the noise band. Nothing is clamped or rejected."""
+    chi_molar = point.chi_emu() / n_moles
+    c = 2.0 * point.temperature * chi_molar / (g**2 * CURIE_EMU_K_PER_MOL) - 1.0
+    lo, hi = _CORRELATION_BAND
+    return c, (lo <= c) & (c <= hi)
 
 
 def correlation_from_chi(
     point: SusceptibilityPoint, g: float, n_moles: float = 1.0
 ) -> CorrelationValue:
-    """Spin-spin correlation c = 2 k_B T chi_molar / (N_A g^2 mu_B^2) - 1.
+    """Spin-spin correlation c of the sample(s) in `point`.
 
     No clamping: values outside the physical range by more than the noise
-    band raise "unphysical data point".
+    band raise "unphysical data point", naming the first such value.
     """
-    chi_molar = point.chi_emu() / n_moles
-    c = 2.0 * point.temperature * chi_molar / (g**2 * CURIE_EMU_K_PER_MOL) - 1.0
-    if not (-1.0 - CORRELATION_NOISE_TOL <= c <= 1.0 / 3.0 + CORRELATION_NOISE_TOL):
-        raise DataError(f"unphysical data point: correlation {c:.6g}")
-    return CorrelationValue(c)
+    c, physical = correlation_values(point, g, n_moles)
+    if not np.all(physical):
+        bad = np.extract(~physical, c)[0]
+        raise DataError(f"unphysical data point: correlation {bad:.6g}")
+    return CorrelationValue(float_or_array(c))
 
 
 def rho_zero_field(c: CorrelationValue) -> DensityMatrix4:
@@ -152,15 +225,9 @@ def rho_zero_field(c: CorrelationValue) -> DensityMatrix4:
     cv = c.c
     if not -1.0 - 1e-12 <= cv <= 1.0 / 3.0 + 1e-12:
         raise DataError(f"nonpositive state: correlation {cv:.6g}")
-    rho = 0.25 * np.array(
-        [
-            [1.0 + cv, 0.0, 0.0, 0.0],
-            [0.0, 1.0 - cv, 2.0 * cv, 0.0],
-            [0.0, 2.0 * cv, 1.0 - cv, 0.0],
-            [0.0, 0.0, 0.0, 1.0 + cv],
-        ]
-    )
-    return DensityMatrix4(rho.astype(complex), Basis.SZ)
+    # Singlet population (1 - 3c)/4, each triplet level (1 + c)/4.
+    p = np.array([1.0 - 3.0 * cv, 1.0 + cv, 1.0 + cv, 1.0 + cv]) / 4.0
+    return _level_mixture(p, Basis.SZ)
 
 
 def coherence_from_chi(
@@ -168,146 +235,89 @@ def coherence_from_chi(
 ) -> CoherenceValue:
     """l1 coherence |c| of the zero-field state, straight from susceptibility."""
     c = correlation_from_chi(point, g, n_moles)
-    return CoherenceValue(abs(c.c), Basis.SZ)
+    return CoherenceValue(np.abs(c.c), Basis.SZ)
 
 
-def _x_and_bh(params: DimerParams) -> tuple[float, float]:
-    """Dimensionless exponents x = J/(4T) and beta*h of the closed forms."""
-    return (
-        params.j_over_kb / (4.0 * params.temperature),
-        params.zeeman_kelvin / params.temperature,
-    )
+def partition_function(params: DimerParams) -> float | np.ndarray:
+    """Z = e^x + e^(-3x) + 2 e^x cosh(beta h), with x = J/(4T), evaluated as
+    exp(-E0/T) times the sum of the shifted level weights.
 
-
-def partition_function(params: DimerParams) -> float:
-    """Z = e^x + e^(-3x) + 2 e^x cosh(beta h), with x = J/(4T)."""
-    x, bh = _x_and_bh(params)
-    # math.exp raises once an exponent passes ~709.8, i.e. k_B T far below
-    # the level spacing; report that as the same underflow condition.
-    try:
-        z = math.exp(x) + math.exp(-3.0 * x) + 2.0 * math.exp(x) * math.cosh(bh)
-    except OverflowError as exc:
-        raise NumericError("temperature underflow") from exc
-    if not math.isfinite(z):
+    Z is the one closed-form quantity that can overflow, once -E0/T passes
+    ~709; that raises NumericError("temperature underflow").
+    """
+    t = params.temperature
+    e0, total, _ = _shifted_weights(params.j_over_kb, params.zeeman_kelvin, t)
+    with np.errstate(over="ignore"):
+        z = np.exp(-e0 / t) * total
+    if not np.all(np.isfinite(z)):
         raise NumericError("temperature underflow")
-    return z
+    return float_or_array(z)
 
 
 def coherence_longitudinal(params: DimerParams) -> CoherenceValue:
     """Thermal l1 coherence in the S_z basis under a longitudinal field:
-    |(1 - e^(-4x)) / (1 + e^(-4x) + 2 cosh(beta h))|."""
-    x, bh = _x_and_bh(params)
-    try:
-        e4 = math.exp(-4.0 * x)
-        value = abs((1.0 - e4) / (1.0 + e4 + 2.0 * math.cosh(bh)))
-    except OverflowError as exc:
-        raise NumericError("temperature underflow") from exc
-    if not math.isfinite(value):
-        raise NumericError("temperature underflow")
-    return CoherenceValue(value, Basis.SZ)
+    |(1 - e^(-4x)) / (1 + e^(-4x) + 2 cosh(beta h))|, evaluated as the
+    population difference |p_T0 - p_S|."""
+    p = _populations(params)
+    return CoherenceValue(np.abs(p[..., 2] - p[..., 0]), Basis.SZ)
 
 
 def coherence_transverse(params: DimerParams) -> CoherenceValue:
     """Thermal l1 coherence in the S_x basis under a field along z:
-    (e^x/Z) (|cosh(bh) - 1| + 4|sinh(bh)| + |cosh(bh) - e^(-4x)|)."""
-    x, bh = _x_and_bh(params)
-    z = partition_function(params)
-    try:
-        e4 = math.exp(-4.0 * x)
-        value = (
-            math.exp(x)
-            / z
-            * (
-                abs(math.cosh(bh) - 1.0)
-                + 4.0 * abs(math.sinh(bh))
-                + abs(math.cosh(bh) - e4)
-            )
-        )
-    except OverflowError as exc:
-        raise NumericError("temperature underflow") from exc
-    if not math.isfinite(value):
-        raise NumericError("temperature underflow")
+    (e^x/Z) (|cosh(bh) - 1| + 4|sinh(bh)| + |cosh(bh) - e^(-4x)|), evaluated
+    on populations with e^x cosh(bh)/Z = (p_+ + p_-)/2 and
+    4 e^x sinh(bh)/Z = 2 (p_+ - p_-)."""
+    p_s, p_plus, p_0, p_minus = np.moveaxis(_populations(params), -1, 0)
+    mean = 0.5 * (p_plus + p_minus)
+    value = np.abs(mean - p_0) + 2.0 * np.abs(p_plus - p_minus) + np.abs(mean - p_s)
     return CoherenceValue(value, Basis.SX)
 
 
 def rho_longitudinal(params: DimerParams) -> DensityMatrix4:
     """Field-dressed thermal state in the S_z product basis (X-shaped)."""
-    x, bh = _x_and_bh(params)
-    z = partition_function(params)
-    try:
-        e4 = math.exp(-4.0 * x)
-        pref = math.exp(x) / (2.0 * z)
-        rho = pref * np.array(
-            [
-                [2.0 * math.exp(bh), 0.0, 0.0, 0.0],
-                [0.0, 1.0 + e4, 1.0 - e4, 0.0],
-                [0.0, 1.0 - e4, 1.0 + e4, 0.0],
-                [0.0, 0.0, 0.0, 2.0 * math.exp(-bh)],
-            ]
-        )
-    except OverflowError as exc:
-        raise NumericError("temperature underflow") from exc
-    if not np.all(np.isfinite(rho)):
-        raise NumericError("temperature underflow")
-    return DensityMatrix4(rho.astype(complex), Basis.SZ)
+    return _level_mixture(_populations(params), Basis.SZ)
 
 
 def rho_transverse(params: DimerParams) -> DensityMatrix4:
     """Field-dressed thermal state re-expressed in the S_x product basis."""
-    x, bh = _x_and_bh(params)
-    z = partition_function(params)
-    try:
-        e4 = math.exp(-4.0 * x)
-        ch, sh = math.cosh(bh), math.sinh(bh)
-        pref = math.exp(x) / (2.0 * z)
-        rho = pref * np.array(
-            [
-                [ch + 1.0, sh, sh, ch - 1.0],
-                [sh, ch + e4, ch - e4, sh],
-                [sh, ch - e4, ch + e4, sh],
-                [ch - 1.0, sh, sh, ch + 1.0],
-            ]
-        )
-    except OverflowError as exc:
-        raise NumericError("temperature underflow") from exc
-    if not np.all(np.isfinite(rho)):
-        raise NumericError("temperature underflow")
-    return DensityMatrix4(rho.astype(complex), Basis.SX)
+    return _level_mixture(_populations(params), Basis.SX)
 
 
-def _ground_is_singlet(j_over_kb: float, g: float, b_tesla: float) -> bool:
-    """Brute-force ground-state identity used by the bisection route."""
+def _ground_is_singlet(j_over_kb: float, g: float, b_tesla) -> np.ndarray:
+    """Brute-force ground-state identity used by the bisection route, one
+    answer per field in `b_tesla`."""
     params = DimerParams(j_over_kb, g, temperature=1.0, b_field=b_tesla)
     _, evecs = eigensystem(build_hamiltonian(params))
-    ground = evecs[:, 0]
-    return float(np.dot(SINGLET, ground) ** 2) > 0.5
+    return (evecs[..., :, 0] @ SINGLET) ** 2 > 0.5
 
 
 def critical_field(j_over_kb: float, g: float) -> CriticalField:
     """Field at which the singlet ground state crosses the polarized |00>.
 
     Computed twice: closed form |J| k_B / (g mu_B), and bisection on the
-    brute-force ground-state identity over B in [0, 100 T]. Disagreement
-    beyond 1e-9 T raises NumericError.
+    brute-force ground-state identity over B in [0, 2 B_c], 64 sections per
+    round. The final bracket width and the allowed disagreement are 1e-12 T
+    and 1e-9 T up to B_c = 100 T and grow in proportion to B_c beyond it; a
+    larger disagreement raises NumericError.
     """
     if j_over_kb >= 0.0:
         raise DataError("no level crossing: coupling must be antiferromagnetic (J < 0)")
     b_closed = -j_over_kb / (g * MU_B_KELVIN_PER_TESLA)
+    scale = max(b_closed, _FIELD_SCALE_FLOOR)
 
-    lo, hi = 0.0, _BISECTION_B_MAX
+    lo, hi = 0.0, 2.0 * b_closed
     if not _ground_is_singlet(j_over_kb, g, lo):
         raise NumericError("bisection bracket failed at B = 0")
     if _ground_is_singlet(j_over_kb, g, hi):
-        raise NumericError(f"no ground-state crossing below {_BISECTION_B_MAX} T")
-    while hi - lo > _BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if _ground_is_singlet(j_over_kb, g, mid):
-            lo = mid
-        else:
-            hi = mid
+        raise NumericError(f"no ground-state crossing below {hi!r} T")
+    while hi - lo > _BISECTION_RTOL * scale:
+        edges = np.linspace(lo, hi, _SECTIONS + 1)
+        singlet = _ground_is_singlet(j_over_kb, g, edges[1:-1])
+        k = int(np.argmin(np.append(singlet, False)))  # first probe past the crossing
+        lo, hi = float(edges[k]), float(edges[k + 1])
     b_bisect = 0.5 * (lo + hi)
 
-    if abs(b_bisect - b_closed) > _CROSS_CHECK_ATOL:
+    if abs(b_bisect - b_closed) > _CROSS_CHECK_RTOL * scale:
         raise NumericError(
             f"critical-field routes disagree: closed form {b_closed!r} T, "
             f"bisection {b_bisect!r} T"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, DensityMatrix4
+from .core import Basis, DensityMatrix4, float_or_array
 from .errors import DataError
 
 _VALUE_SLACK = 1e-9
@@ -19,14 +19,16 @@ _VALUE_SLACK = 1e-9
 @dataclass(frozen=True)
 class CoherenceValue:
     """Dimensionless l1 coherence, in [0, 3] for two qubits, with the basis
-    it was evaluated in."""
+    it was evaluated in; `value` is an array for a batch of states."""
 
-    value: float
+    value: float | np.ndarray
     basis: Basis
 
     def __post_init__(self) -> None:
-        if not -_VALUE_SLACK <= self.value <= 3.0 + _VALUE_SLACK:
+        v = float_or_array(self.value)
+        if not np.all((-_VALUE_SLACK <= v) & (v <= 3.0 + _VALUE_SLACK)):
             raise ValueError("two-qubit l1 coherence must lie in [0, 3]")
+        object.__setattr__(self, "value", v)
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,10 @@ class DiscordValue:
 
 
 def l1_coherence(rho: DensityMatrix4) -> CoherenceValue:
-    """Sum of |rho_ij| over i != j, in the state's declared basis."""
+    """Sum of |rho_ij| over i != j, in the state's declared basis; one value
+    per state of a stack."""
     mags = np.abs(rho.entries)
-    value = float(mags.sum() - np.trace(mags))
+    value = mags.sum(axis=(-2, -1)) - np.trace(mags, axis1=-2, axis2=-1)
     return CoherenceValue(value, rho.basis)
 
 

@@ -2,32 +2,57 @@
 
 Every sweep row carries the closed-form coherence next to a brute-force
 oracle value computed by diagonalizing the Hamiltonian; the two must agree
-to 1e-10 or the sweep aborts. Tables serialize to CSV or JSON with a
-metadata block, deterministically enough to be golden-file tested.
+to 1e-10 or the sweep aborts. The whole grid is evaluated as one batch:
+one closed-form call and one stacked diagonalization per sweep. Tables
+serialize to CSV or JSON with a metadata block, deterministically enough to
+be golden-file tested.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .constants import TOOL_VERSION
-from .core import Basis, DimerParams, build_hamiltonian, gibbs_state, rotate_to_sx
+from .core import (
+    Basis,
+    DimerParams,
+    build_hamiltonian,
+    float_or_array,
+    gibbs_state,
+    rotate_to_sx,
+)
 from .errors import DataError, NumericError
-from .models import coherence_longitudinal, coherence_transverse, partition_function
+from .models import (
+    coherence_longitudinal,
+    coherence_transverse,
+    level_energies,
+    partition_function,
+)
 from .quantifiers import l1_coherence
 
 # Closed form and oracle are independent routes to the same number; beyond
 # this gap one of them is wrong.
 ORACLE_ATOL = 1e-10
 
+# Largest grid a sweep accepts. A sweep holds its whole working set at once,
+# about 1.4 KB per row at peak, so this caps one sweep near 1.4 GB.
+MAX_STEPS = 10**6
+
+# Ground-state labels by bitmask over the levels in `level_energies` order;
+# exact ties join with '+'.
 _LEVEL_ORDER = ("singlet", "triplet_plus", "triplet_zero", "triplet_minus")
+_GROUND_LABELS = np.array(
+    ["+".join(compress(_LEVEL_ORDER, [m >> k & 1 for k in range(4)]))
+     for m in range(16)]
+)
 
 
 class SweepVariable(Enum):
@@ -62,6 +87,8 @@ class SweepSpec:
             raise ValueError("sweep range must have min < max")
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"sweep allows at most {MAX_STEPS} steps")
         if self.variable is SweepVariable.TEMPERATURE and self.minimum <= 0.0:
             raise ValueError("temperatures must be > 0 K")
         if self.variable is SweepVariable.FIELD_LONGITUDINAL and self.basis is not Basis.SZ:
@@ -146,17 +173,19 @@ def _read_two_column_csv(
     return header, rows
 
 
-def pressure_to_j(table: PressureTable, pressure_gpa: float) -> float:
-    """Piecewise-linear J/k_B at the given pressure; exact at the nodes."""
+def pressure_to_j(
+    table: PressureTable, pressure_gpa: float | np.ndarray
+) -> float | np.ndarray:
+    """Piecewise-linear J/k_B at the given pressure(s); exact at the nodes."""
     lo, hi = table.pressures_gpa[0], table.pressures_gpa[-1]
-    if not lo <= pressure_gpa <= hi:
+    p = np.asarray(pressure_gpa, dtype=float)
+    outside = ~((lo <= p) & (p <= hi))
+    if np.any(outside):
         raise DataError(
-            f"extrapolation refused: pressure {pressure_gpa} GPa outside "
-            f"[{lo}, {hi}] GPa"
+            f"extrapolation refused: pressure {np.extract(outside, p)[0]} GPa "
+            f"outside [{lo}, {hi}] GPa"
         )
-    return float(
-        np.interp(pressure_gpa, table.pressures_gpa, table.j_values_kelvin)
-    )
+    return float_or_array(np.interp(p, table.pressures_gpa, table.j_values_kelvin))
 
 
 @dataclass(frozen=True)
@@ -184,9 +213,8 @@ class SweepTable:
                 raise ValueError(f"annotation {name!r} length != row count")
         if any(not isinstance(v, str) for v in self.metadata.values()):
             raise ValueError("metadata values must be strings")
-        flags = self.annotations.get("flag", ("",) * n)
-        bad = ~np.isfinite(values).all(axis=1)
-        if any(bad[i] and not flags[i] for i in range(n)):
+        flags = np.asarray(self.annotations.get("flag", [""] * n), dtype=str)
+        if np.any(~np.isfinite(values).all(axis=1) & (flags == "")):
             raise ValueError("non-finite values in unflagged rows")
 
     @property
@@ -197,36 +225,19 @@ class SweepTable:
         return self.values[:, self.column_names.index(name)]
 
 
-def _ground_state_label(params: DimerParams) -> str:
-    """Name the lowest level(s); exact ties join with '+'."""
-    j, h = params.j_over_kb, params.zeeman_kelvin
-    levels = {
-        "singlet": 0.75 * j,
-        "triplet_plus": -0.25 * j - h,
-        "triplet_zero": -0.25 * j,
-        "triplet_minus": -0.25 * j + h,
-    }
-    e_min = min(levels.values())
-    tol = 1e-12 * max(1.0, abs(e_min))
-    return "+".join(n for n in _LEVEL_ORDER if levels[n] <= e_min + tol)
-
-
-def _coherence_pair(params: DimerParams, basis: Basis) -> tuple[float, float]:
-    """Closed-form coherence and the brute-force oracle value, same basis."""
-    if basis is Basis.SZ:
-        closed = coherence_longitudinal(params).value
-    else:
-        closed = coherence_transverse(params).value
-    rho = gibbs_state(build_hamiltonian(params), params.temperature)
-    if basis is Basis.SX:
-        rho = rotate_to_sx(rho)
-    return closed, l1_coherence(rho).value
+def _ground_state_labels(params: DimerParams) -> tuple[str, ...]:
+    """Name the lowest level(s) of each row; exact ties join with '+'."""
+    levels = level_energies(params.j_over_kb, params.zeeman_kelvin)
+    e_min = levels.min(axis=-1, keepdims=True)
+    tied = levels <= e_min + 1e-12 * np.maximum(1.0, np.abs(e_min))
+    return tuple(_GROUND_LABELS[(tied << np.arange(4)).sum(axis=-1)].tolist())
 
 
 def run_sweep(
     spec: SweepSpec, pressure_table: PressureTable | None = None
 ) -> SweepTable:
-    """Evaluate the grid; every row self-verifies closed form vs oracle."""
+    """Evaluate the grid as one batch; every row is checked closed form vs
+    oracle."""
     if spec.variable is SweepVariable.PRESSURE and pressure_table is None:
         raise ValueError("pressure sweep requires a pressure table")
     grid = np.linspace(spec.minimum, spec.maximum, spec.steps)
@@ -240,47 +251,44 @@ def run_sweep(
     }[spec.variable]
     is_pressure = spec.variable is SweepVariable.PRESSURE
 
-    columns: list[list[float]] = [[], [], [], []]
-    j_column: list[float] = []
-    ground: list[str] = []
-    regime: list[str] = []
-    for value in grid:
-        value = float(value)
-        if spec.variable is SweepVariable.TEMPERATURE:
-            params = replace(spec.fixed, temperature=value)
-        elif is_pressure:
-            j = pressure_to_j(pressure_table, value)
-            params = replace(spec.fixed, j_over_kb=j)
-            j_column.append(j)
-            if j < 0.0:
-                regime.append("antiferromagnetic")
-            elif j > 0.0:
-                regime.append("ferromagnetic")
-            else:
-                regime.append("uncoupled")
-        else:
-            params = replace(spec.fixed, b_field=value)
-        closed, oracle = _coherence_pair(params, spec.basis)
-        if abs(closed - oracle) > ORACLE_ATOL:
-            raise NumericError(
-                f"closed form and oracle disagree at {swept_name}={value!r}: "
-                f"{closed!r} vs {oracle!r}"
-            )
-        columns[0].append(value)
-        # Saturated values can land a few ulp past the exact bound of 3;
-        # clamp after the agreement check so emitted tables stay physical.
-        columns[1].append(min(max(closed, 0.0), 3.0))
-        columns[2].append(min(max(oracle, 0.0), 3.0))
-        columns[3].append(partition_function(params))
-        ground.append(_ground_state_label(params))
+    fixed = spec.fixed
+    j, t, b = fixed.j_over_kb, fixed.temperature, fixed.b_field
+    if spec.variable is SweepVariable.TEMPERATURE:
+        t = grid
+    elif is_pressure:
+        j = pressure_to_j(pressure_table, grid)
+    else:
+        b = grid
+    params = DimerParams(*np.broadcast_arrays(j, fixed.g, t, b))
 
+    rho = gibbs_state(build_hamiltonian(params), params.temperature)
+    if spec.basis is Basis.SZ:
+        closed = coherence_longitudinal(params).value
+    else:
+        closed = coherence_transverse(params).value
+        rho = rotate_to_sx(rho)
+    oracle = l1_coherence(rho).value
+    disagree = np.abs(closed - oracle) > ORACLE_ATOL
+    if np.any(disagree):
+        i = int(np.argmax(disagree))
+        raise NumericError(
+            f"closed form and oracle disagree at {swept_name}={float(grid[i])!r}: "
+            f"{float(closed[i])!r} vs {float(oracle[i])!r}"
+        )
+    z = partition_function(params)
+
+    # Saturated values can land a few ulp past the exact bound of 3;
+    # clamp after the agreement check so emitted tables stay physical.
     names = [swept_name, c_name, "C_oracle", "Z"]
-    data = [columns[0], columns[1], columns[2], columns[3]]
-    annotations: dict[str, tuple[str, ...]] = {"ground_state": tuple(ground)}
+    data = [grid, np.clip(closed, 0.0, 3.0), np.clip(oracle, 0.0, 3.0), z]
+    annotations = {"ground_state": _ground_state_labels(params)}
     if is_pressure:
         names.insert(1, "J_kelvin")
-        data.insert(1, j_column)
-        annotations["regime"] = tuple(regime)
+        data.insert(1, j)
+        regime = np.select(
+            [j < 0.0, j > 0.0], ["antiferromagnetic", "ferromagnetic"], "uncoupled"
+        )
+        annotations["regime"] = tuple(regime.tolist())
 
     metadata = {
         "variable": spec.variable.value,
@@ -299,7 +307,7 @@ def run_sweep(
 
     return SweepTable(
         column_names=tuple(names),
-        values=np.array(data, dtype=float).T,
+        values=np.column_stack(data),
         annotations=annotations,
         metadata=metadata,
     )

@@ -47,6 +47,20 @@ def test_bad_range_exit_2(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_oversized_grid_refused_exit_2(capsys):
+    code = main(
+        ["sweep", "temp", "--t-min", "1", "--t-max", "2", "--t-steps",
+         "1000000000", "--j-kelvin", "-2.86"]
+    )
+    assert code == 2
+    assert "at most" in capsys.readouterr().err
+
+
+def test_critical_field_above_100_tesla(capsys):
+    assert main(["critical-field", "--j-kelvin", "-300"]) == 0
+    assert "B_c = 223.3" in capsys.readouterr().out
+
+
 def test_numeric_failure_exit_4(capsys):
     code = main(
         ["sweep", "temp", "--t-min", "1e-7", "--t-max", "1", "--t-steps", "3",

@@ -207,3 +207,66 @@ def test_ground_state_identity_across_crossing(j, g, ratio):
         assert np.dot(SINGLET, ground) ** 2 > 1.0 - 1e-10
     else:
         assert ground[0] ** 2 > 1.0 - 1e-10
+
+
+# --- stacks: one batched call, every matrix checked on its own --------------
+
+VALID_STATE = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+_NONHERM = np.eye(4, dtype=complex) / 4.0
+_NONHERM[0, 1] = 1e-3
+BAD_STATES = {
+    "unit trace": np.eye(4, dtype=complex),
+    "Hermitian": _NONHERM,
+    "positive semidefinite": np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BAD_STATES))
+def test_stack_with_one_bad_state_raises_like_the_single_state(what):
+    bad = BAD_STATES[what]
+    with pytest.raises(ValueError, match=what) as single:
+        DensityMatrix4(bad, Basis.SZ)
+    stack = np.stack([VALID_STATE, bad, VALID_STATE, MAXMIX.entries])
+    with pytest.raises(ValueError) as batched:
+        DensityMatrix4(stack, Basis.SZ)
+    assert str(batched.value) == str(single.value)
+
+
+def test_stack_checks_each_hamiltonian_on_its_own_scale():
+    # A large symmetric neighbour must not widen the small matrix's tolerance.
+    small = np.zeros((4, 4))
+    small[0, 1] = 1e-9
+    with pytest.raises(ValueError, match="symmetric"):
+        Hamiltonian4(small)
+    with pytest.raises(ValueError, match="symmetric"):
+        Hamiltonian4(np.stack([1e6 * np.eye(4), small]))
+
+
+def test_batched_oracle_equals_row_by_row_calls():
+    rng = np.random.default_rng(3)
+    j, t = rng.uniform(-10.0, 10.0, 64), rng.uniform(0.01, 300.0, 64)
+    b = rng.uniform(0.0, 20.0, 64)
+    params = DimerParams(j, 2.0, t, b)
+    h = build_hamiltonian(params)
+    assert h.entries.shape == (64, 4, 4)
+    rho = gibbs_state(h, t)
+    evals, evecs = eigensystem(h)
+    for k in range(64):
+        one = build_hamiltonian(DimerParams(float(j[k]), 2.0, float(t[k]), float(b[k])))
+        assert np.array_equal(h.entries[k], one.entries)
+        assert np.array_equal(rho.entries[k], gibbs_state(one, float(t[k])).entries)
+        ev, vec = eigensystem(one)
+        assert np.array_equal(evals[k], ev) and np.array_equal(evecs[k], vec)
+    back = rotate_to_sz(rotate_to_sx(rho))
+    assert np.abs(back.entries - rho.entries).max() <= 1e-12
+
+
+def test_params_validate_every_array_element():
+    DimerParams(np.array([-1.0, 2.0]), 2.0, np.array([0.5, 3.0]), 0.0)
+    with pytest.raises(ValueError, match="temperature"):
+        DimerParams(-2.86, 2.0, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        DimerParams(np.array([-2.86, np.inf]), 2.0, 1.0)
+    pair = build_hamiltonian(DimerParams(np.array([-2.86, -1.0]), 2.0, 1.0))
+    with pytest.raises(ValueError):
+        gibbs_state(pair, np.array([1.0, -1.0]))

@@ -18,7 +18,7 @@ from spindimer import (
 )
 from spindimer.constants import SI_M3_PER_EMU
 import spindimer.fitting as fitting
-from spindimer.fitting import _bb_curve, _bb_jacobian
+from spindimer.fitting import _bb_jacobian
 
 J_TRUE = -2.86
 G_TRUE = 2.0
@@ -213,12 +213,9 @@ def test_jacobian_matches_central_differences():
         jac = _bb_jacobian(TEMPS, j, g)
         eps_j = 1e-6 * max(1.0, abs(j))
         eps_g = 1e-6 * max(1.0, abs(g))
-        fd_j = (_bb_curve(TEMPS, j + eps_j, g) - _bb_curve(TEMPS, j - eps_j, g)) / (
-            2.0 * eps_j
-        )
-        fd_g = (_bb_curve(TEMPS, j, g + eps_g) - _bb_curve(TEMPS, j, g - eps_g)) / (
-            2.0 * eps_g
-        )
+        chi = lambda jv, gv: bleaney_bowers_chi(jv, gv, TEMPS).chi
+        fd_j = (chi(j + eps_j, g) - chi(j - eps_j, g)) / (2.0 * eps_j)
+        fd_g = (chi(j, g + eps_g) - chi(j, g - eps_g)) / (2.0 * eps_g)
         assert np.abs(jac[:, 0] - fd_j).max() <= 1e-6 * max(1.0, np.abs(fd_j).max())
         assert np.abs(jac[:, 1] - fd_g).max() <= 1e-6 * max(1.0, np.abs(fd_g).max())
 

@@ -28,7 +28,11 @@ from spindimer import (
     rho_zero_field,
     rotate_to_sx,
 )
-from spindimer.constants import CURIE_EMU_K_PER_MOL, SI_M3_PER_EMU
+from spindimer.constants import (
+    CURIE_EMU_K_PER_MOL,
+    MU_B_KELVIN_PER_TESLA,
+    SI_M3_PER_EMU,
+)
 from spindimer.core import SINGLET
 
 J_REF = -2.86
@@ -264,3 +268,60 @@ def test_ferromagnetic_coupling_has_no_crossing():
 def test_partition_function_underflow():
     with pytest.raises(NumericError, match="temperature underflow"):
         partition_function(DimerParams(J_REF, G_REF, 1e-7, 0.0))
+
+
+# --- shifted weights: finite wherever the oracle is -----------------------
+
+@pytest.mark.parametrize("t, b", [(1e-3, 0.0), (0.05, 60.0)])
+def test_closed_forms_finite_where_only_z_overflows(t, b):
+    from spindimer.sweep import ORACLE_ATOL
+
+    params = DimerParams(J_REF, G_REF, t, b)
+    rho = gibbs_state(build_hamiltonian(params), t)
+    assert abs(
+        coherence_longitudinal(params).value - l1_coherence(rho).value
+    ) <= ORACLE_ATOL
+    assert abs(
+        coherence_transverse(params).value - l1_coherence(rotate_to_sx(rho)).value
+    ) <= ORACLE_ATOL
+    np.testing.assert_allclose(
+        rho_longitudinal(params).entries, rho.entries, atol=1e-12
+    )
+    with pytest.raises(NumericError, match="temperature underflow"):
+        partition_function(params)
+
+
+def test_bleaney_bowers_finite_for_strong_coupling():
+    chi = bleaney_bowers_chi(-300.0, 2.0, 0.4).chi
+    assert np.isfinite(chi) and chi >= 0.0
+
+
+def test_closed_forms_take_arrays_like_scalars():
+    rng = np.random.default_rng(5)
+    j, t = rng.uniform(-8.0, 8.0, 40), rng.uniform(0.05, 200.0, 40)
+    b = rng.uniform(0.0, 10.0, 40)
+    batch = DimerParams(j, G_REF, t, b)
+    rows = [
+        DimerParams(float(j[k]), G_REF, float(t[k]), float(b[k])) for k in range(40)
+    ]
+    for f in (
+        partition_function,
+        lambda p: coherence_longitudinal(p).value,
+        lambda p: coherence_transverse(p).value,
+        lambda p: rho_longitudinal(p).entries,
+        lambda p: rho_transverse(p).entries,
+    ):
+        assert np.array_equal(f(batch), np.array([f(p) for p in rows]))
+    assert isinstance(partition_function(rows[0]), float)
+    chi = bleaney_bowers_chi(J_REF, G_REF, t).chi
+    assert np.array_equal(
+        chi, [bleaney_bowers_chi(J_REF, G_REF, float(x)).chi for x in t]
+    )
+
+
+@pytest.mark.parametrize("j", [-135.0, -300.0, -1e4])
+def test_critical_field_beyond_100_tesla(j):
+    bc = critical_field(j, G_REF)
+    assert bc.tesla == -j / (G_REF * MU_B_KELVIN_PER_TESLA)
+    assert bc.tesla > 100.0
+    assert abs(bc.tesla_bisection - bc.tesla) <= 1e-11 * bc.tesla

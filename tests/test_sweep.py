@@ -12,12 +12,16 @@ from spindimer import (
     SweepSpec,
     SweepTable,
     SweepVariable,
+    build_hamiltonian,
     critical_field,
     emit,
+    gibbs_state,
+    l1_coherence,
     pressure_to_j,
     read_table_csv,
     read_table_json,
     render_table,
+    rotate_to_sx,
     run_sweep,
 )
 
@@ -219,7 +223,7 @@ def test_sweep_catches_oracle_disagreement(monkeypatch):
     from spindimer.quantifiers import CoherenceValue
 
     def wrong(params):
-        return CoherenceValue(0.123, Basis.SZ)
+        return CoherenceValue(np.full_like(params.temperature, 0.123), Basis.SZ)
 
     monkeypatch.setattr(sweep_module, "coherence_longitudinal", wrong)
     with pytest.raises(NumericError, match="disagree"):
@@ -310,3 +314,69 @@ def test_emission_is_deterministic_modulo_timestamp():
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         render_table(_small_table(), "yaml")
+
+
+# --- one batch per sweep ----------------------------------------------------
+
+def _scalar_oracle(j, g, t, b, basis):
+    rho = gibbs_state(build_hamiltonian(DimerParams(j, g, t, b)), t)
+    if basis is Basis.SX:
+        rho = rotate_to_sx(rho)
+    return min(max(l1_coherence(rho).value, 0.0), 3.0)
+
+
+@pytest.mark.parametrize("basis", [Basis.SZ, Basis.SX])
+@pytest.mark.parametrize("variable", ["temperature", "field", "pressure"])
+def test_oracle_column_equals_row_by_row_scalar_calls(variable, basis):
+    fixed = DimerParams(-2.86, 2.0, 0.3, 1.7)
+    table = PressureTable((0.0, 2.0, 4.0), (-2.86, -1.5, 0.5))
+    if variable == "temperature":
+        spec = SweepSpec(SweepVariable.TEMPERATURE, 0.02, 40.0, 150, fixed, basis)
+    elif variable == "field":
+        kind = (
+            SweepVariable.FIELD_LONGITUDINAL
+            if basis is Basis.SZ
+            else SweepVariable.FIELD_TRANSVERSE
+        )
+        spec = SweepSpec(kind, 0.0, 8.0, 150, fixed, basis)
+    else:
+        spec = SweepSpec(SweepVariable.PRESSURE, 0.0, 4.0, 150, fixed, basis)
+    out = run_sweep(spec, table)
+    swept = out.values[:, 0]
+    j = np.full(150, fixed.j_over_kb)
+    if variable == "pressure":
+        j = out.column("J_kelvin")
+    t = swept if variable == "temperature" else np.full(150, fixed.temperature)
+    b = swept if variable == "field" else np.full(150, fixed.b_field)
+    rows = [
+        _scalar_oracle(float(j[k]), 2.0, float(t[k]), float(b[k]), basis)
+        for k in range(150)
+    ]
+    assert np.array_equal(out.column("C_oracle"), rows)
+    if variable == "pressure":
+        assert np.array_equal(j, [pressure_to_j(table, float(p)) for p in swept])
+
+
+def test_sweep_names_first_disagreeing_row(monkeypatch):
+    import spindimer.sweep as sweep_module
+    from spindimer.quantifiers import CoherenceValue
+
+    real = sweep_module.coherence_longitudinal
+
+    def off_from_row_3(params):
+        value = real(params).value.copy()
+        value[3:] += 0.5
+        return CoherenceValue(value, Basis.SZ)
+
+    monkeypatch.setattr(sweep_module, "coherence_longitudinal", off_from_row_3)
+    row_3 = float(np.linspace(2.0, 350.0, 10)[3])
+    with pytest.raises(NumericError, match=f"at T_kelvin={row_3!r}:"):
+        run_sweep(temp_spec(steps=10))
+
+
+def test_spec_caps_steps():
+    from spindimer.sweep import MAX_STEPS
+
+    temp_spec(steps=MAX_STEPS)
+    with pytest.raises(ValueError, match="at most"):
+        temp_spec(steps=MAX_STEPS + 1)
