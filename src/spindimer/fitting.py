@@ -197,20 +197,20 @@ def fit_bleaney_bowers(
             raise NumericError("degenerate fit")
         j_new, g_new = j + float(step[0]), g + float(step[1])
         rss_new = rss_at(j_new, g_new)
+        rel_step = float(np.abs(step).max()) / max(1e-30, abs(j_new), abs(g_new))
         if math.isfinite(rss_new) and rss_new < rss:
-            rel_step = float(np.abs(step).max()) / max(
-                1e-30, abs(j_new), abs(g_new)
-            )
             j, g, rss = j_new, g_new, rss_new
             trace.append(rss)
             lam = max(lam / 10.0, 1e-15)
-            if rel_step < STEP_RTOL:
-                converged = True
-                break
         else:
             lam *= 10.0
-            if lam > _LAMBDA_MAX:
-                break
+        # A step this small, taken or refused, moves rss only at rounding
+        # level: the parameters already sit at the minimum.
+        if rel_step < STEP_RTOL:
+            converged = True
+            break
+        if lam > _LAMBDA_MAX:
+            break
 
     # The model depends on g only through g^2.
     g = abs(g)

@@ -25,7 +25,9 @@ from .constants import (
     SI_M3_PER_EMU,
 )
 from .core import (
+    _R2,
     SINGLET,
+    TRIPLET_ZERO,
     Basis,
     DensityMatrix4,
     DimerParams,
@@ -58,15 +60,10 @@ _H_COEF = np.array([0.0, -1.0, 0.0, 1.0])
 # diagonalization of the 63 inner edges narrows the bracket 64-fold.
 _SECTIONS = 64
 
-# The four level eigenstates, in the order of level_energies, written in the
-# S_z and in the S_x product basis.
-_S = 0.5**0.5
-_LEVEL_STATES = {
-    Basis.SZ: np.array([[0, _S, -_S, 0], [1, 0, 0, 0], [0, _S, _S, 0], [0, 0, 0, 1]]),
-    Basis.SX: np.array(
-        [[0, _S, -_S, 0], [0.5, 0.5, 0.5, 0.5], [_S, 0, 0, -_S], [0.5, -0.5, -0.5, 0.5]]
-    ),
-}
+# The four level eigenstates as rows, in the order of level_energies, written
+# in the S_z and (rotated by the symmetric _R2) in the S_x product basis.
+_SZ_STATES = np.array([SINGLET, np.eye(4)[0], TRIPLET_ZERO, np.eye(4)[3]])
+_LEVEL_STATES = {Basis.SZ: _SZ_STATES, Basis.SX: _SZ_STATES @ _R2}
 
 
 class ChiUnit(Enum):
@@ -220,13 +217,16 @@ def rho_zero_field(c: CorrelationValue) -> DensityMatrix4:
     """Zero-field thermal state of the dimer, parametrized by c.
 
     Diagonal (1+c, 1-c, 1-c, 1+c)/4 with +-c/2 mixing the central block;
-    positivity requires c in [-1, 1/3].
+    positivity requires c in [-1, 1/3]. An array of c gives a stack of
+    states; the first c outside that range is named in the error.
     """
-    cv = c.c
-    if not -1.0 - 1e-12 <= cv <= 1.0 / 3.0 + 1e-12:
-        raise DataError(f"nonpositive state: correlation {cv:.6g}")
+    cv = np.asarray(c.c)
+    positive = (-1.0 - 1e-12 <= cv) & (cv <= 1.0 / 3.0 + 1e-12)
+    if not np.all(positive):
+        bad = np.extract(~positive, cv)[0]
+        raise DataError(f"nonpositive state: correlation {bad:.6g}")
     # Singlet population (1 - 3c)/4, each triplet level (1 + c)/4.
-    p = np.array([1.0 - 3.0 * cv, 1.0 + cv, 1.0 + cv, 1.0 + cv]) / 4.0
+    p = np.stack([1.0 - 3.0 * cv, 1.0 + cv, 1.0 + cv, 1.0 + cv], axis=-1) / 4.0
     return _level_mixture(p, Basis.SZ)
 
 

@@ -230,6 +230,18 @@ def test_zero_field_state_constructors():
         rho_zero_field(CorrelationValue(0.34))
 
 
+def test_zero_field_state_of_an_array_matches_scalar_calls():
+    cs = np.array([-1.0, -0.5, 0.0, 0.2, 1.0 / 3.0])
+    stack = rho_zero_field(CorrelationValue(cs)).entries
+    assert stack.shape == (5, 4, 4)
+    for c, rho in zip(cs, stack):
+        np.testing.assert_array_equal(rho, rho_zero_field(CorrelationValue(float(c))).entries)
+    # One value inside the noise band but outside [-1, 1/3] among valid ones
+    # raises the scalar's DataError and names that value.
+    with pytest.raises(DataError, match="nonpositive state: correlation 0.34"):
+        rho_zero_field(CorrelationValue(np.array([0.0, 0.34, -0.5])))
+
+
 def test_unphysical_measurement_rejected():
     # chi so large the implied correlation exceeds 1/3 beyond the noise band.
     with pytest.raises(DataError, match="unphysical data point"):
