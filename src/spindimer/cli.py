@@ -238,8 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first `main` call and reused by every later one: building
+# the tree costs more than most requests, and `parse_args` leaves it as it was.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except DataError as exc:

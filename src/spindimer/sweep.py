@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import compress
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -211,8 +212,13 @@ class SweepTable:
         for name, column in self.annotations.items():
             if len(column) != n:
                 raise ValueError(f"annotation {name!r} length != row count")
-        if any(not isinstance(v, str) for v in self.metadata.values()):
-            raise ValueError("metadata values must be strings")
+        texts = [s for item in self.metadata.items() for s in item]
+        if any(not isinstance(s, str) for s in texts):
+            raise ValueError("metadata keys and values must be strings")
+        # CSV writes one `# key = value` line per entry and reads it back
+        # with str.splitlines, so no entry may hold a line boundary.
+        if any("".join(s.splitlines()) != s for s in texts):
+            raise ValueError("metadata keys and values must not contain line breaks")
         flags = np.asarray(self.annotations.get("flag", [""] * n), dtype=str)
         if np.any(~np.isfinite(values).all(axis=1) & (flags == "")):
             raise ValueError("non-finite values in unflagged rows")
@@ -313,14 +319,52 @@ def run_sweep(
     )
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips, which
-    # is what makes the emitted files bit-stable.
-    return repr(float(x))
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+# JSON is laid out by hand exactly as `json.dumps(payload, sort_keys=True,
+# indent=2)` lays it out, so a cell costs one `repr` or one C-level string
+# escape (`_quote`) instead of a pass through the pure-Python indenting
+# encoder.
+def _json_array(items: list[str], depth: int) -> str:
+    """Pre-encoded items as a JSON array nested `depth` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_object(members: dict[str, str], depth: int) -> str:
+    """Pre-encoded values under sorted, quoted keys, nested `depth` deep."""
+    if not members:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(f"{_quote(k)}: {members[k]}" for k in sorted(members))
+    return "{" + pad + body + "\n" + "  " * depth + "}"
+
+
+def _render_json(table: SweepTable, meta: dict[str, str]) -> str:
+    # repr of a Python float is the shortest string that round-trips, which
+    # is what makes the emitted files bit-stable; non-finite cells are null.
+    cells = [list(map(repr, column)) for column in table.values.T.tolist()]
+    for k, i in np.argwhere(~np.isfinite(table.values.T)).tolist():
+        cells[k][i] = "null"
+    names = table.column_names
+    payload = {
+        "annotation_order": _json_array(list(map(_quote, table.annotations)), 1),
+        "annotations": _json_object({
+            name: _json_array(list(map(_quote, column)), 2)
+            for name, column in table.annotations.items()
+        }, 1),
+        "column_order": _json_array(list(map(_quote, names)), 1),
+        # A repeated name keeps its first column, as `SweepTable.column` does.
+        "columns": _json_object(
+            {name: _json_array(cells[names.index(name)], 2) for name in names}, 1
+        ),
+        "metadata": _json_object({k: _quote(v) for k, v in meta.items()}, 1),
+    }
+    return _json_object(payload, 0) + "\n"
 
 
 def render_table(table: SweepTable, format: str, timestamp: str | None = None) -> str:
@@ -331,26 +375,13 @@ def render_table(table: SweepTable, format: str, timestamp: str | None = None) -
         lines = [f"# {k} = {meta[k]}" for k in sorted(meta)]
         ann_names = list(table.annotations)
         lines.append(",".join(list(table.column_names) + ann_names))
-        for i in range(table.n_rows):
-            cells = [_fmt(v) for v in table.values[i]]
-            cells += [table.annotations[a][i] for a in ann_names]
-            lines.append(",".join(cells))
+        lines += [
+            ",".join([*map(repr, row), *cells])
+            for row, *cells in zip(table.values.tolist(), *table.annotations.values())
+        ]
         return "\n".join(lines) + "\n"
     if format == "json":
-        payload = {
-            "metadata": meta,
-            "column_order": list(table.column_names),
-            "columns": {
-                name: [
-                    float(v) if math.isfinite(v) else None
-                    for v in table.column(name)
-                ]
-                for name in table.column_names
-            },
-            "annotation_order": list(table.annotations),
-            "annotations": {k: list(v) for k, v in table.annotations.items()},
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _render_json(table, meta)
     raise ValueError(f"unknown format {format!r}")
 
 

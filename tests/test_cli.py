@@ -7,6 +7,7 @@ import pytest
 
 from spindimer import bleaney_bowers_chi, read_table_csv, read_table_json
 from spindimer.cli import OUT_DIR_ENV, main
+import spindimer.cli as cli
 import spindimer.fitting as fitting
 
 
@@ -149,6 +150,15 @@ def test_fit_unconverged_exit_4(tmp_path, monkeypatch, capsys):
     assert "converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem", ["a\nb", "a\x1cb", "a\u2028b"])
+def test_fit_refuses_a_sample_id_with_a_line_break(tmp_path, capsys, stem):
+    csv = write_series_csv(tmp_path / f"{stem}.csv")
+    out_file = tmp_path / "coherence.csv"
+    assert main(["fit", str(csv), "--out", str(out_file)]) == 2
+    assert "line breaks" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_fit_malformed_csv_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("temperature,chi\n2.0,0.1\n")
@@ -180,3 +190,67 @@ def test_pressure_sweep_out_of_range_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "extrapolation refused" in capsys.readouterr().err
+
+
+# --- one parser per process -------------------------------------------------
+
+TEMP_SWEEP = ["sweep", "temp", "--t-min", "0.5", "--t-max", "20", "--t-steps", "6",
+              "--j-kelvin", "-2.86"]
+
+
+def _table_text(capsys):
+    """Captured stdout without the timestamp line, which moves per call."""
+    out = capsys.readouterr().out
+    return [l for l in out.splitlines() if "timestamp" not in l]
+
+
+def _fresh_parser(monkeypatch):
+    """Drop the cached parser, as a new process starts without one."""
+    monkeypatch.setattr(cli, "_parser", None)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys, tmp_path):
+    _fresh_parser(monkeypatch)
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    csv = write_series_csv(tmp_path / "sample.csv")
+    for argv in (TEMP_SWEEP, ["critical-field", "--j-kelvin", "-2.86"],
+                 ["fit", str(csv)], TEMP_SWEEP + ["--basis", "x"]) * 3:
+        assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_reused_parser_does_not_carry_a_field_over(monkeypatch, capsys):
+    _fresh_parser(monkeypatch)
+    assert main(TEMP_SWEEP) == 0
+    zero_field = _table_text(capsys)
+    assert "# b_tesla = 0.0" in zero_field
+
+    assert main(TEMP_SWEEP + ["--b-oe", "5000"]) == 0
+    with_field = _table_text(capsys)
+    assert "# b_tesla = 0.5" in with_field
+    assert main(TEMP_SWEEP) == 0
+    assert _table_text(capsys) == zero_field
+
+    _fresh_parser(monkeypatch)
+    assert main(TEMP_SWEEP + ["--b-oe", "5000"]) == 0
+    assert _table_text(capsys) == with_field
+
+
+def test_usage_error_and_version_leave_the_parser_as_it_was(monkeypatch, capsys):
+    _fresh_parser(monkeypatch)
+    assert main(TEMP_SWEEP + ["--format", "json"]) == 0
+    before = _table_text(capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(TEMP_SWEEP + ["--b-oe", "1", "--b-tesla", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "temp", "--t-min", "x"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert main(TEMP_SWEEP + ["--format", "json"]) == 0
+    assert _table_text(capsys) == before

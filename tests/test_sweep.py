@@ -254,6 +254,16 @@ def test_table_rejects_nonfinite_unflagged():
     assert table.n_rows == 1
 
 
+@pytest.mark.parametrize(
+    "text", ["a\nb", "a\r", "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b", "\n"]
+)
+def test_table_rejects_line_breaks_in_metadata(text):
+    with pytest.raises(ValueError, match="line breaks"):
+        SweepTable(("a",), np.array([[1.0]]), {}, {"sample_id": text})
+    with pytest.raises(ValueError, match="line breaks"):
+        SweepTable(("a",), np.array([[1.0]]), {}, {text: "x"})
+
+
 def test_table_rejects_ragged_annotations():
     with pytest.raises(ValueError):
         SweepTable(("a",), np.array([[1.0], [2.0]]), {"flag": ("",)}, {})
