@@ -78,7 +78,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             raise ValueError("--init-j and --init-g must be given together")
         init = (args.init_j, args.init_g)
     fit = fit_bleaney_bowers(series, init)
-    print(f"sample = {series.sample_id} ({len(series.points)} points)")
+    print(f"sample = {series.sample_id} ({len(series)} points)")
     print(f"J/k_B = {fit.j_over_kb!r} +/- {fit.stderr_j:.3g} K")
     print(f"g = {fit.g!r} +/- {fit.stderr_g:.3g}")
     print(f"rss = {fit.rss!r} ({args.unit} units squared)")

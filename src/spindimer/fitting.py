@@ -24,6 +24,7 @@ from .models import (
     bleaney_bowers_chi,
     coherence_longitudinal,
     correlation_values,
+    in_domain,
 )
 from .sweep import SweepTable, _read_two_column_csv
 
@@ -37,27 +38,39 @@ _LAMBDA_MAX = 1e12
 
 @dataclass(frozen=True)
 class SusceptibilitySeries:
-    """An ordered chi(T) measurement run on one sample."""
+    """An ordered chi(T) measurement run on one sample.
 
-    points: tuple[SusceptibilityPoint, ...]
+    `data` is one array-valued point: equal-length 1-D arrays of
+    temperature and chi in one unit, already checked sample by sample by
+    `SusceptibilityPoint`. The series adds the shape and strictly
+    increasing temperatures, each checked once for the whole run.
+    """
+
+    data: SusceptibilityPoint
     sample_id: str = ""
-    unit: ChiUnit = ChiUnit.EMU_PER_MOL
 
     def __post_init__(self) -> None:
-        if not self.points:
+        t, chi = self.data.temperature, self.data.chi
+        if np.size(t) == 0:
             raise ValueError("series needs at least one point")
-        if any(p.unit is not self.unit for p in self.points):
-            raise ValueError("all points must share the series unit")
-        temps = [p.temperature for p in self.points]
-        if any(a >= b for a, b in zip(temps, temps[1:])):
+        if np.ndim(t) != 1 or np.shape(chi) != np.shape(t):
+            raise ValueError("series data must be 1-D arrays of equal length")
+        if np.any(t[1:] <= t[:-1]):
             raise DataError("temperatures not increasing")
 
+    @property
+    def unit(self) -> ChiUnit:
+        return self.data.unit
+
+    def __len__(self) -> int:
+        return len(self.data.temperature)
+
     def temperatures(self) -> np.ndarray:
-        return np.array([p.temperature for p in self.points])
+        return self.data.temperature
 
     def chi_values(self) -> np.ndarray:
         """In the series unit, as stored."""
-        return np.array([p.chi for p in self.points])
+        return self.data.chi
 
 
 @dataclass(frozen=True)
@@ -86,23 +99,26 @@ def load_series(
     """Read a `T_kelvin,chi` CSV into a validated series.
 
     Strict dialect: UTF-8, exact header, `#` comments, one point per line.
-    Bad rows are reported with their (1-based) data row index.
+    The rows are validated as one array-valued point; a bad row is reported
+    with its (1-based) data row index and its own point's message.
     """
     _, rows = _read_two_column_csv(path, "T_kelvin,chi")
     if len(rows) < MIN_POINTS:
         raise DataError(
             f"need at least {MIN_POINTS} points for a fit, got {len(rows)}"
         )
-    points = []
-    for i, (t, chi) in enumerate(rows, start=1):
+    t, chi = np.array(list(zip(*rows)))
+    try:
+        data = SusceptibilityPoint(t, chi, unit)
+    except ValueError:
+        i = int(np.argmin(in_domain(t, chi)))
         try:
-            points.append(SusceptibilityPoint(t, chi, unit))
+            SusceptibilityPoint(float(t[i]), float(chi[i]), unit)
         except ValueError as exc:
-            raise DataError(f"row {i}: {exc}") from exc
+            raise DataError(f"row {i + 1}: {exc}") from exc
+        raise
     return SusceptibilitySeries(
-        points=tuple(points),
-        sample_id=sample_id if sample_id is not None else Path(path).stem,
-        unit=unit,
+        data, sample_id if sample_id is not None else Path(path).stem
     )
 
 
@@ -148,9 +164,9 @@ def fit_bleaney_bowers(
     passing k here while scaling all chi by k reproduces the same (J, g).
     n_moles is fixed at 1: the data are molar by contract.
     """
-    if len(series.points) < MIN_POINTS:
+    if len(series) < MIN_POINTS:
         raise DataError(
-            f"need at least {MIN_POINTS} points for a fit, got {len(series.points)}"
+            f"need at least {MIN_POINTS} points for a fit, got {len(series)}"
         )
     if not (math.isfinite(model_scale) and model_scale > 0.0):
         raise ValueError("model_scale must be finite and > 0")
@@ -164,12 +180,14 @@ def fit_bleaney_bowers(
 
     j, g = init if init is not None else _default_init(float(t[0]), float(y[0]))
 
-    def rss_at(jv: float, gv: float) -> float:
-        r = y - bleaney_bowers_chi(jv, gv, t).chi
-        return float(r @ r)
+    def residual_at(jv: float, gv: float) -> np.ndarray:
+        return y - bleaney_bowers_chi(jv, gv, t).chi
 
+    # One model evaluation per iteration: the trial step's residual becomes
+    # the current one when the step is taken.
     lam = _LAMBDA_INIT
-    rss = rss_at(j, g)
+    residual = residual_at(j, g)
+    rss = float(residual @ residual)
     trace = [rss]
     iterations = 0
     converged = False
@@ -177,7 +195,6 @@ def fit_bleaney_bowers(
 
     while iterations < MAX_ITERATIONS:
         iterations += 1
-        residual = y - bleaney_bowers_chi(j, g, t).chi
         jac = _bb_jacobian(t, j, g)
         jtj = jac.T @ jac
         # Both model derivatives vanish at g = 0, so the gradient is zero
@@ -196,10 +213,11 @@ def fit_bleaney_bowers(
         if not np.all(np.isfinite(step)):
             raise NumericError("degenerate fit")
         j_new, g_new = j + float(step[0]), g + float(step[1])
-        rss_new = rss_at(j_new, g_new)
+        residual_new = residual_at(j_new, g_new)
+        rss_new = float(residual_new @ residual_new)
         rel_step = float(np.abs(step).max()) / max(1e-30, abs(j_new), abs(g_new))
         if math.isfinite(rss_new) and rss_new < rss:
-            j, g, rss = j_new, g_new, rss_new
+            j, g, rss, residual = j_new, g_new, rss_new, residual_new
             trace.append(rss)
             lam = max(lam / 10.0, 1e-15)
         else:
@@ -249,9 +267,7 @@ def coherence_series(series: SusceptibilitySeries, fit: FitResult) -> SweepTable
         raise DataError("fit did not converge; refusing to build the series")
     temps = series.temperatures()
     theory = coherence_longitudinal(DimerParams(fit.j_over_kb, fit.g, temps)).value
-    c, physical = correlation_values(
-        SusceptibilityPoint(temps, series.chi_values(), series.unit), fit.g
-    )
+    c, physical = correlation_values(series.data, fit.g)
     experimental = np.where(physical, np.abs(c), math.nan)
     return SweepTable(
         column_names=("T_kelvin", "C_experimental", "C_theoretical", "residual"),

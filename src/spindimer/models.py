@@ -73,6 +73,14 @@ class ChiUnit(Enum):
     SI_M3_PER_MOL = "si_m3_per_mol"
 
 
+def in_domain(
+    temperature: float | np.ndarray, chi: float | np.ndarray
+) -> np.ndarray:
+    """Mask of the samples a `SusceptibilityPoint` accepts: finite T > 0 K
+    and finite chi >= 0."""
+    return (0.0 < temperature) & (temperature < np.inf) & (0.0 <= chi) & (chi < np.inf)
+
+
 @dataclass(frozen=True)
 class SusceptibilityPoint:
     """One (temperature, susceptibility) sample, or equal-shaped arrays of
@@ -84,8 +92,10 @@ class SusceptibilityPoint:
 
     def __post_init__(self) -> None:
         t, chi = self.temperature, self.chi
-        # One check on the common path: ingest builds a point per data row.
-        if np.all((0.0 < t) & (t < np.inf) & (0.0 <= chi) & (chi < np.inf)):
+        # One combined check on the common path, which every model
+        # evaluation of the fit passes through; the messages are sorted out
+        # only on failure.
+        if np.all(in_domain(t, chi)):
             return
         if not np.all(np.isfinite(t) & np.isfinite(chi)):
             raise ValueError("susceptibility point must be finite")
@@ -306,9 +316,10 @@ def critical_field(j_over_kb: float, g: float) -> CriticalField:
     scale = max(b_closed, _FIELD_SCALE_FLOOR)
 
     lo, hi = 0.0, 2.0 * b_closed
-    if not _ground_is_singlet(j_over_kb, g, lo):
+    singlet_lo, singlet_hi = _ground_is_singlet(j_over_kb, g, np.array([lo, hi]))
+    if not singlet_lo:
         raise NumericError("bisection bracket failed at B = 0")
-    if _ground_is_singlet(j_over_kb, g, hi):
+    if singlet_hi:
         raise NumericError(f"no ground-state crossing below {hi!r} T")
     while hi - lo > _BISECTION_RTOL * scale:
         edges = np.linspace(lo, hi, _SECTIONS + 1)

@@ -219,6 +219,10 @@ class SweepTable:
         # with str.splitlines, so no entry may hold a line boundary.
         if any("".join(s.splitlines()) != s for s in texts):
             raise ValueError("metadata keys and values must not contain line breaks")
+        # The reader splits each line at its first " = ", so the key must
+        # not hold one, nor end in " =" that the separator would complete.
+        if any(" = " in key + " =" for key in self.metadata):
+            raise ValueError("metadata keys must not contain ' = ' or end in ' ='")
         flags = np.asarray(self.annotations.get("flag", [""] * n), dtype=str)
         if np.any(~np.isfinite(values).all(axis=1) & (flags == "")):
             raise ValueError("non-finite values in unflagged rows")
@@ -412,7 +416,7 @@ def read_table_csv(path: str | Path) -> SweepTable:
         if not line.strip():
             continue
         if line.startswith("#"):
-            key, _, value = line[1:].strip().partition(" = ")
+            key, _, value = line[2:].partition(" = ")
             metadata[key] = value
             continue
         if header is None:

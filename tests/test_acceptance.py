@@ -149,10 +149,8 @@ def test_criterion_5_basis_independence_at_zero_field():
 def test_criterion_6_fit_recovery():
     start = time.perf_counter()
     temps = np.linspace(2.0, 350.0, 50)
-    clean = tuple(
-        bleaney_bowers_chi(J_REF, G_REF, float(t)) for t in temps
-    )
-    series = SusceptibilitySeries(clean, "noiseless")
+    clean = np.array([bleaney_bowers_chi(J_REF, G_REF, float(t)).chi for t in temps])
+    series = SusceptibilitySeries(SusceptibilityPoint(temps, clean), "noiseless")
     fit = fit_bleaney_bowers(series)
     noiseless_ok = (
         fit.converged
@@ -164,15 +162,12 @@ def test_criterion_6_fit_recovery():
     dg = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        noisy = tuple(
-            SusceptibilityPoint(
-                p.temperature,
-                p.chi * (1.0 + 0.01 * rng.standard_normal()),
-                ChiUnit.EMU_PER_MOL,
+        noisy = np.array([c * (1.0 + 0.01 * rng.standard_normal()) for c in clean])
+        noisy_fit = fit_bleaney_bowers(
+            SusceptibilitySeries(
+                SusceptibilityPoint(temps, noisy, ChiUnit.EMU_PER_MOL), f"seed{seed}"
             )
-            for p in clean
         )
-        noisy_fit = fit_bleaney_bowers(SusceptibilitySeries(noisy, f"seed{seed}"))
         dj.append(abs(noisy_fit.j_over_kb - J_REF))
         dg.append(abs(noisy_fit.g - G_REF))
     med_j = float(np.median(dj))

@@ -1,5 +1,7 @@
 """CSV ingestion and the damped Gauss-Newton susceptibility fitter."""
 
+import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -28,13 +30,21 @@ DATA = Path(__file__).parent / "data"
 
 
 def synthetic_series(unit=ChiUnit.EMU_PER_MOL, scale=1.0, rng=None, noise=0.0):
-    points = []
+    values = []
     for t in TEMPS:
         chi = bleaney_bowers_chi(J_TRUE, G_TRUE, float(t), unit=unit).chi * scale
         if rng is not None and noise > 0.0:
             chi *= 1.0 + noise * rng.standard_normal()
-        points.append(SusceptibilityPoint(float(t), chi, unit))
-    return SusceptibilitySeries(tuple(points), "synthetic", unit)
+        values.append(chi)
+    return SusceptibilitySeries(
+        SusceptibilityPoint(TEMPS, np.array(values), unit), "synthetic"
+    )
+
+
+def model_series(temps, sample_id):
+    """Noiseless chi from one scalar model call per temperature."""
+    chi = [bleaney_bowers_chi(J_TRUE, G_TRUE, float(t)).chi for t in temps]
+    return SusceptibilitySeries(SusceptibilityPoint(temps, np.array(chi)), sample_id)
 
 
 def write_csv(path, rows, header="T_kelvin,chi", comments=()):
@@ -52,7 +62,7 @@ def test_load_series_happy_path(tmp_path):
     ]
     path = write_csv(tmp_path / "sample.csv", rows, comments=("synthetic run",))
     series = load_series(path)
-    assert len(series.points) == 50
+    assert len(series) == 50
     assert series.sample_id == "sample"
     assert series.unit is ChiUnit.EMU_PER_MOL
     np.testing.assert_allclose(series.temperatures(), TEMPS, atol=0.0)
@@ -102,11 +112,59 @@ def test_load_series_negative_chi_named_by_row(tmp_path):
         load_series(path)
 
 
-def test_series_unit_consistency():
-    emu_point = SusceptibilityPoint(2.0, 0.1, ChiUnit.EMU_PER_MOL)
-    si_point = SusceptibilityPoint(3.0, 0.1, ChiUnit.SI_M3_PER_MOL)
-    with pytest.raises(ValueError):
-        SusceptibilitySeries((emu_point, si_point), "mixed")
+def test_load_series_names_first_of_several_bad_rows(tmp_path):
+    # Row 3 has chi < 0 and row 6 has T <= 0: the whole-file check fails on
+    # the temperature, but the error must name row 3 with its own message.
+    rows = [f"{float(t)},0.01" for t in range(2, 12)]
+    rows[2] = "4.0,-0.01"
+    rows[5] = "-7.0,0.01"
+    path = write_csv(tmp_path / "bad.csv", rows)
+    with pytest.raises(DataError) as info:
+        load_series(path)
+    assert str(info.value) == "row 3: susceptibility must be >= 0 for this model"
+    rows[2] = "4.0,0.01"
+    path = write_csv(tmp_path / "bad.csv", rows)
+    with pytest.raises(DataError) as info:
+        load_series(path)
+    assert str(info.value) == "row 6: temperature must be > 0 K"
+
+
+def test_load_series_keeps_unit_and_arrays(tmp_path):
+    rows = [f"{float(t)!r},{0.01 * t!r}" for t in range(2, 12)]
+    path = write_csv(tmp_path / "si.csv", rows)
+    series = load_series(path, ChiUnit.SI_M3_PER_MOL, sample_id="run-7")
+    assert series.unit is ChiUnit.SI_M3_PER_MOL
+    assert series.data.unit is ChiUnit.SI_M3_PER_MOL
+    assert series.sample_id == "run-7"
+    assert len(series) == 10
+    assert series.temperatures().tolist() == [float(t) for t in range(2, 12)]
+    assert series.chi_values().tolist() == [0.01 * t for t in range(2, 12)]
+
+
+def test_series_refuses_empty_data():
+    with pytest.raises(ValueError, match="at least one point"):
+        SusceptibilitySeries(SusceptibilityPoint(np.array([]), np.array([])))
+
+
+@pytest.mark.parametrize(
+    "t, chi",
+    [
+        (np.array([[2.0, 3.0], [4.0, 5.0]]), np.full((2, 2), 0.1)),
+        (np.array(2.0), np.array(0.1)),
+        (np.array([2.0, 3.0, 4.0]), np.array(0.1)),
+    ],
+    ids=["2-D", "0-D", "scalar-chi"],
+)
+def test_series_refuses_data_that_is_not_1d_pairs(t, chi):
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        SusceptibilitySeries(SusceptibilityPoint(t, chi))
+
+
+@pytest.mark.parametrize("temps", [[2.0, 3.0, 3.0, 4.0], [2.0, 4.0, 3.0, 5.0]])
+def test_series_refuses_non_increasing_temperatures(temps):
+    data = SusceptibilityPoint(np.array(temps), np.full(4, 0.1))
+    with pytest.raises(DataError, match="temperatures not increasing"):
+        SusceptibilitySeries(data)
 
 
 # --- fitting -----------------------------------------------------------------
@@ -173,14 +231,13 @@ def test_fit_si_unit_route_matches_emu():
 def test_fit_rss_reported_in_input_units():
     rng = np.random.default_rng(21)
     noisy_emu = synthetic_series(rng=rng, noise=0.01)
-    si_points = tuple(
-        SusceptibilityPoint(
-            p.temperature, p.chi * SI_M3_PER_EMU, ChiUnit.SI_M3_PER_MOL
-        )
-        for p in noisy_emu.points
+    si_data = SusceptibilityPoint(
+        noisy_emu.temperatures(),
+        noisy_emu.chi_values() * SI_M3_PER_EMU,
+        ChiUnit.SI_M3_PER_MOL,
     )
     emu_fit = fit_bleaney_bowers(noisy_emu)
-    si_fit = fit_bleaney_bowers(SusceptibilitySeries(si_points, "si", ChiUnit.SI_M3_PER_MOL))
+    si_fit = fit_bleaney_bowers(SusceptibilitySeries(si_data, "si"))
     assert si_fit.rss == pytest.approx(emu_fit.rss * SI_M3_PER_EMU**2, rel=1e-6)
 
 
@@ -190,10 +247,7 @@ def test_fit_degenerate_at_zero_g():
 
 
 def test_fit_requires_enough_points():
-    points = tuple(
-        bleaney_bowers_chi(J_TRUE, G_TRUE, float(t)) for t in TEMPS[:5]
-    )
-    series = SusceptibilitySeries(points, "short")
+    series = model_series(TEMPS[:5], "short")
     with pytest.raises(DataError, match="at least 8"):
         fit_bleaney_bowers(series)
 
@@ -217,6 +271,40 @@ def test_fit_at_rounding_level_minimum_converges(name):
     assert fit.converged
     assert fit.iterations < 20
     assert fit.stderr_j > 0.0 and fit.stderr_g > 0.0
+
+
+@pytest.mark.parametrize("name", ["chi_stall_71.csv", "chi_stall_317.csv"])
+def test_fit_result_matches_golden(name):
+    # Written by the fitter that evaluated the model twice per iteration;
+    # reusing the trial step's residual must not move a single bit.
+    golden = json.loads((DATA / "chi_stall_fits.json").read_text())[name]
+    fit = dataclasses.asdict(fit_bleaney_bowers(load_series(DATA / name)))
+    fit["rss_trace"] = list(fit["rss_trace"])
+    assert fit == golden
+
+
+@pytest.mark.parametrize(
+    "series, init",
+    [
+        (synthetic_series(), (-1.0, 2.3)),
+        (synthetic_series(rng=np.random.default_rng(7), noise=0.01), None),
+        (load_series(DATA / "chi_stall_71.csv"), None),
+        (load_series(DATA / "chi_stall_317.csv"), None),
+    ],
+    ids=["displaced-init", "noisy", "stall-71", "stall-317"],
+)
+def test_fit_evaluates_model_once_per_iteration(monkeypatch, series, init):
+    calls = []
+
+    def counting_chi(*args, **kwargs):
+        calls.append(args)
+        return bleaney_bowers_chi(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "bleaney_bowers_chi", counting_chi)
+    fit = fit_bleaney_bowers(series, init)
+    assert fit.converged
+    assert fit.iterations >= 2
+    assert len(calls) <= fit.iterations + 1
 
 
 def test_jacobian_matches_central_differences():
@@ -259,10 +347,11 @@ def test_coherence_series_noiseless_residuals_vanish():
 def test_coherence_series_flags_corrupted_point():
     clean = synthetic_series()
     fit = fit_bleaney_bowers(clean)
-    points = list(clean.points)
-    bad = points[25]
-    points[25] = SusceptibilityPoint(bad.temperature, bad.chi * 10.0, bad.unit)
-    corrupted = SusceptibilitySeries(tuple(points), "corrupted")
+    chi = clean.chi_values().copy()
+    chi[25] *= 10.0
+    corrupted = SusceptibilitySeries(
+        SusceptibilityPoint(clean.temperatures(), chi, clean.unit), "corrupted"
+    )
     table = coherence_series(corrupted, fit)
     flags = table.annotations["flag"]
     assert flags[25] == "unphysical"
@@ -274,10 +363,7 @@ def test_coherence_series_flags_corrupted_point():
 
 def test_coherence_series_reproduces_pipeline_value():
     temps = np.concatenate([[2.43], np.linspace(3.0, 350.0, 49)])
-    points = tuple(
-        bleaney_bowers_chi(J_TRUE, G_TRUE, float(t)) for t in temps
-    )
-    series = SusceptibilitySeries(points, "with-anchor")
+    series = model_series(temps, "with-anchor")
     fit = fit_bleaney_bowers(series)
     table = coherence_series(series, fit)
     assert table.column("C_experimental")[0] == pytest.approx(

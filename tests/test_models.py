@@ -33,6 +33,7 @@ from spindimer.constants import (
     MU_B_KELVIN_PER_TESLA,
     SI_M3_PER_EMU,
 )
+import spindimer.models as models
 from spindimer.core import SINGLET
 
 J_REF = -2.86
@@ -337,3 +338,35 @@ def test_critical_field_beyond_100_tesla(j):
     assert bc.tesla == -j / (G_REF * MU_B_KELVIN_PER_TESLA)
     assert bc.tesla > 100.0
     assert abs(bc.tesla_bisection - bc.tesla) <= 1e-11 * bc.tesla
+
+
+@pytest.mark.parametrize("j", [J_REF, -300.0])
+def test_critical_field_checks_its_bracket_in_one_diagonalization(monkeypatch, j):
+    expected = critical_field(j, G_REF)
+    batches = []
+
+    def counting_eigensystem(h):
+        batches.append(h.entries.shape[:-2])
+        return eigensystem(h)
+
+    monkeypatch.setattr(models, "eigensystem", counting_eigensystem)
+    assert critical_field(j, G_REF) == expected
+    # One call for both bracket ends, then one per bisection round.
+    assert batches[0] == (2,)
+    assert all(shape == (models._SECTIONS - 1,) for shape in batches[1:])
+    assert len(batches) >= 2
+
+
+@pytest.mark.parametrize(
+    "ends, message",
+    [
+        ((False, False), "bracket failed at B = 0"),
+        ((True, True), "no ground-state crossing"),
+    ],
+)
+def test_critical_field_bracket_errors_survive_the_joint_check(
+    monkeypatch, ends, message
+):
+    monkeypatch.setattr(models, "_ground_is_singlet", lambda j, g, b: np.array(ends))
+    with pytest.raises(NumericError, match=message):
+        critical_field(J_REF, G_REF)

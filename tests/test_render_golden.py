@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spindimer import SweepTable, render_table
+from spindimer import SweepTable, read_table_csv, read_table_json, render_table
 
 DATA = Path(__file__).parent / "data"
 TIMESTAMP = "2026-01-01T00:00:00Z"
@@ -149,3 +149,13 @@ def test_json_layout_matches_stdlib_encoder(table):
     assert render_table(table, "json", timestamp="T0") == _json_dumps_reference(
         table, "T0"
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_golden_metadata_reads_back_exactly(name, fmt):
+    # The edge table holds an empty value, whose CSV line `# empty = ` ends
+    # in the separator's trailing space.
+    reader = read_table_csv if fmt == "csv" else read_table_json
+    back = reader(DATA / f"golden_{name}.{fmt}")
+    assert back.metadata == {**TABLES[name]().metadata, "timestamp": TIMESTAMP}

@@ -264,6 +264,30 @@ def test_table_rejects_line_breaks_in_metadata(text):
         SweepTable(("a",), np.array([[1.0]]), {}, {text: "x"})
 
 
+@pytest.mark.parametrize("key", ["x = y", " = ", "x =", "a = b = c"])
+def test_table_rejects_separator_in_metadata_key(key):
+    with pytest.raises(ValueError, match="' = '"):
+        SweepTable(("a",), np.array([[1.0]]), {}, {key: "v"})
+
+
+def test_csv_metadata_keeps_whitespace_and_separators_in_values(tmp_path):
+    metadata = {
+        "trailing": "value  ",
+        "leading": "  value",
+        "tab": "value\t",
+        "blank": "   ",
+        "empty": "",
+        "sep": "a = b",
+        "ends": "= ",
+        "key =x": "v",
+        "key  ": "v",
+    }
+    table = SweepTable(("a",), np.array([[1.0]]), {}, metadata)
+    path = tmp_path / "meta.csv"
+    emit(table, "csv", path, timestamp="T0")
+    assert read_table_csv(path).metadata == {**metadata, "timestamp": "T0"}
+
+
 def test_table_rejects_ragged_annotations():
     with pytest.raises(ValueError):
         SweepTable(("a",), np.array([[1.0], [2.0]]), {"flag": ("",)}, {})
