@@ -14,19 +14,16 @@ from .core import (
     eigensystem,
     gibbs_state,
     rotate_to_sx,
-    rotate_to_sz,
 )
 from .errors import DataError, NumericError
 from .models import (
     ChiUnit,
-    CorrelationValue,
     CriticalField,
     SusceptibilityPoint,
     bleaney_bowers_chi,
     coherence_from_chi,
     coherence_longitudinal,
     coherence_transverse,
-    correlation_from_chi,
     critical_field,
     partition_function,
     rho_longitudinal,
@@ -63,7 +60,6 @@ __all__ = [
     "Basis",
     "ChiUnit",
     "CoherenceValue",
-    "CorrelationValue",
     "CriticalField",
     "DataError",
     "DensityMatrix4",
@@ -84,7 +80,6 @@ __all__ = [
     "coherence_longitudinal",
     "coherence_series",
     "coherence_transverse",
-    "correlation_from_chi",
     "critical_field",
     "eigensystem",
     "emit",
@@ -102,6 +97,5 @@ __all__ = [
     "rho_transverse",
     "rho_zero_field",
     "rotate_to_sx",
-    "rotate_to_sz",
     "run_sweep",
 ]

@@ -182,9 +182,3 @@ def rotate_to_sx(rho: DensityMatrix4) -> DensityMatrix4:
         raise ValueError("rotate_to_sx expects a state in the Sz basis")
     return DensityMatrix4(_R2 @ rho.entries @ _R2, Basis.SX)
 
-
-def rotate_to_sz(rho: DensityMatrix4) -> DensityMatrix4:
-    """Inverse of rotate_to_sx (the rotation is an involution)."""
-    if rho.basis is not Basis.SX:
-        raise ValueError("rotate_to_sz expects a state in the Sx basis")
-    return DensityMatrix4(_R2 @ rho.entries @ _R2, Basis.SZ)

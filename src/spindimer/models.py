@@ -111,22 +111,6 @@ class SusceptibilityPoint:
 
 
 @dataclass(frozen=True)
-class CorrelationValue:
-    """Dimensionless spin-spin correlation extracted from susceptibility.
-
-    Physical states require c in [-1, 1/3]; a small band beyond that is
-    tolerated for noisy data (the zero-field state builder still rejects it).
-    """
-
-    c: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        lo, hi = _CORRELATION_BAND
-        if not np.all((lo <= self.c) & (self.c <= hi)):
-            raise ValueError(f"correlation {self.c} outside [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
 class CriticalField:
     """Singlet / polarized-triplet level-crossing field.
 
@@ -208,29 +192,15 @@ def correlation_values(
     return c, (lo <= c) & (c <= hi)
 
 
-def correlation_from_chi(
-    point: SusceptibilityPoint, g: float, n_moles: float = 1.0
-) -> CorrelationValue:
-    """Spin-spin correlation c of the sample(s) in `point`.
-
-    No clamping: values outside the physical range by more than the noise
-    band raise "unphysical data point", naming the first such value.
-    """
-    c, physical = correlation_values(point, g, n_moles)
-    if not np.all(physical):
-        bad = np.extract(~physical, c)[0]
-        raise DataError(f"unphysical data point: correlation {bad:.6g}")
-    return CorrelationValue(float_or_array(c))
-
-
-def rho_zero_field(c: CorrelationValue) -> DensityMatrix4:
-    """Zero-field thermal state of the dimer, parametrized by c.
+def rho_zero_field(c: float | np.ndarray) -> DensityMatrix4:
+    """Zero-field thermal state of the dimer at correlation c (a float or an
+    array, as `correlation_values` extracts it from susceptibility).
 
     Diagonal (1+c, 1-c, 1-c, 1+c)/4 with +-c/2 mixing the central block;
     positivity requires c in [-1, 1/3]. An array of c gives a stack of
     states; the first c outside that range is named in the error.
     """
-    cv = np.asarray(c.c)
+    cv = np.asarray(c, dtype=float)
     positive = (-1.0 - 1e-12 <= cv) & (cv <= 1.0 / 3.0 + 1e-12)
     if not np.all(positive):
         bad = np.extract(~positive, cv)[0]
@@ -243,9 +213,16 @@ def rho_zero_field(c: CorrelationValue) -> DensityMatrix4:
 def coherence_from_chi(
     point: SusceptibilityPoint, g: float, n_moles: float = 1.0
 ) -> CoherenceValue:
-    """l1 coherence |c| of the zero-field state, straight from susceptibility."""
-    c = correlation_from_chi(point, g, n_moles)
-    return CoherenceValue(np.abs(c.c), Basis.SZ)
+    """l1 coherence |c| of the zero-field state, straight from susceptibility.
+
+    No clamping: a correlation outside the physical range by more than the
+    noise band raises "unphysical data point", naming the first such sample.
+    """
+    c, physical = correlation_values(point, g, n_moles)
+    if not np.all(physical):
+        bad = np.extract(~physical, c)[0]
+        raise DataError(f"unphysical data point: correlation {bad:.6g}")
+    return CoherenceValue(np.abs(c), Basis.SZ)
 
 
 def partition_function(params: DimerParams) -> float | np.ndarray:

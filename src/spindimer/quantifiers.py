@@ -2,8 +2,8 @@
 
 The l1 coherence is the sum of absolute off-diagonal entries of the state
 in its declared basis. It never rebases implicitly: coherence is a
-basis-dependent quantity, so rotations have to be requested explicitly
-through core.rotate_to_sx / rotate_to_sz.
+basis-dependent quantity, so a rotation has to be requested explicitly
+through core.rotate_to_sx.
 """
 
 from dataclasses import dataclass
@@ -33,13 +33,14 @@ class CoherenceValue:
 
 @dataclass(frozen=True)
 class DiscordValue:
-    """Trace-norm geometric discord; in [0, 1/2] for the zero-field dimer
-    state family."""
+    """Trace-norm geometric discord; in [0, 1/2] for the dimer's thermal
+    states. `value` is an array for a batch of states."""
 
-    value: float
+    value: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not -_VALUE_SLACK <= self.value <= 0.5 + _VALUE_SLACK:
+        v = self.value
+        if not np.all((-_VALUE_SLACK <= v) & (v <= 0.5 + _VALUE_SLACK)):
             raise ValueError("discord for this state family lies in [0, 1/2]")
 
 
@@ -52,12 +53,15 @@ def l1_coherence(rho: DensityMatrix4) -> CoherenceValue:
 
 
 def geometric_discord_zero_field(coherence: CoherenceValue) -> DiscordValue:
-    """Trace-norm geometric discord of a zero-field thermal dimer state.
+    """Trace-norm geometric discord Q = C_z/2 of a thermal dimer state.
 
-    For that Bell-diagonal family the discord equals half the l1 coherence.
-    The identity does not extend to field-dressed states, so coherences
-    above 1 (impossible at zero field) are rejected.
+    Zero-field states are Bell-diagonal and longitudinal-field ones X
+    states; for both Q is half the S_z l1 coherence (Ciccarello, Tufarelli
+    & Giovannetti, NJP 16, 013038 (2014)), so coherences in another basis,
+    and S_z coherences above 1, which no such state reaches, are refused.
     """
-    if coherence.value > 1.0 + 1e-12:
+    if coherence.basis is not Basis.SZ:
+        raise DataError("discord needs the l1 coherence in the S_z basis")
+    if np.any(coherence.value > 1.0 + 1e-12):
         raise DataError("state outside Bell-diagonal family")
     return DiscordValue(coherence.value / 2.0)

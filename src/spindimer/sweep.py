@@ -103,12 +103,13 @@ class SweepSpec:
             raise ValueError("field sweep range must start at B >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PressureTable:
-    """Tabulated exchange coupling versus hydrostatic pressure."""
+    """Tabulated exchange coupling versus hydrostatic pressure, as read-only
+    float arrays; compared by identity, since `==` on arrays would raise."""
 
-    pressures_gpa: tuple[float, ...]
-    j_values_kelvin: tuple[float, ...]
+    pressures_gpa: np.ndarray
+    j_values_kelvin: np.ndarray
     source: str = ""
 
     def __post_init__(self) -> None:
@@ -116,24 +117,22 @@ class PressureTable:
             raise ValueError("pressure and J columns differ in length")
         if len(self.pressures_gpa) < 2:
             raise ValueError("need at least 2 rows to interpolate")
-        values = self.pressures_gpa + self.j_values_kelvin
-        if not all(math.isfinite(v) for v in values):
+        table = np.array([self.pressures_gpa, self.j_values_kelvin], dtype=float)
+        if not np.isfinite(table).all():
             raise ValueError("pressure table entries must be finite")
-        if not all(
-            a < b for a, b in zip(self.pressures_gpa, self.pressures_gpa[1:])
-        ):
+        table.flags.writeable = False
+        p, j = table
+        if (p[1:] <= p[:-1]).any():
             raise DataError("pressures not increasing")
+        object.__setattr__(self, "pressures_gpa", p)
+        object.__setattr__(self, "j_values_kelvin", j)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PressureTable":
         """Load `P_GPa,J_kelvin` rows; same dialect as the ingest contract."""
-        header, rows = _read_two_column_csv(path, "P_GPa,J_kelvin")
-        del header
-        return cls(
-            pressures_gpa=tuple(r[0] for r in rows),
-            j_values_kelvin=tuple(r[1] for r in rows),
-            source=str(path),
-        )
+        _, rows = _read_two_column_csv(path, "P_GPa,J_kelvin")
+        pressures, j_values = np.array(rows, dtype=float).reshape(-1, 2).T
+        return cls(pressures, j_values, source=str(path))
 
 
 def _read_two_column_csv(
@@ -212,6 +211,12 @@ class SweepTable:
         for name, column in self.annotations.items():
             if len(column) != n:
                 raise ValueError(f"annotation {name!r} length != row count")
+        # CSV separates cells by commas and rows by line breaks, so no column
+        # name, annotation name or distinct annotation cell may hold either.
+        ann = self.annotations
+        cells = set(self.column_names).union(ann, *ann.values())
+        if any("," in s or "".join(s.splitlines()) != s for s in cells):
+            raise ValueError("names and annotations must not hold commas or line breaks")
         texts = [s for item in self.metadata.items() for s in item]
         if any(not isinstance(s, str) for s in texts):
             raise ValueError("metadata keys and values must be strings")

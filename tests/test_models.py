@@ -16,8 +16,6 @@ from spindimer import (
     coherence_from_chi,
     coherence_longitudinal,
     coherence_transverse,
-    correlation_from_chi,
-    CorrelationValue,
     critical_field,
     eigensystem,
     gibbs_state,
@@ -34,6 +32,7 @@ from spindimer.constants import (
     SI_M3_PER_EMU,
 )
 import spindimer.models as models
+from spindimer.models import correlation_values
 from spindimer.core import SINGLET
 
 J_REF = -2.86
@@ -58,8 +57,9 @@ def test_reduced_susceptibility_at_compensation_point():
 
 def test_correlation_frozen_value():
     point = bleaney_bowers_chi(J_REF, G_REF, temperature=2.43)
-    c = correlation_from_chi(point, G_REF)
-    assert c.c == pytest.approx(-0.3594341330907851, abs=1e-12)
+    c, physical = correlation_values(point, G_REF)
+    assert physical
+    assert c == pytest.approx(-0.3594341330907851, abs=1e-12)
 
 
 def test_partition_function_frozen_value():
@@ -177,10 +177,11 @@ def test_susceptibility_round_trip_identity():
     # thermal state, and |c| its l1 coherence.
     for t in (0.5, 2.43, 10.0, 120.0):
         point = bleaney_bowers_chi(J_REF, G_REF, t)
-        c = correlation_from_chi(point, G_REF)
+        c, physical = correlation_values(point, G_REF)
+        assert physical
         rho = gibbs_state(build_hamiltonian(DimerParams(J_REF, G_REF, t, 0.0)), t)
         direct = np.real(np.trace(rho.entries @ _szsz())) * 4.0
-        assert c.c == pytest.approx(direct, abs=1e-12)
+        assert c == pytest.approx(direct, abs=1e-12)
         assert coherence_from_chi(point, G_REF).value == pytest.approx(
             l1_coherence(rho).value, abs=1e-12
         )
@@ -216,37 +217,37 @@ def test_si_unit_conversion_round_trip():
 
 def test_zero_field_state_constructors():
     np.testing.assert_allclose(
-        rho_zero_field(CorrelationValue(0.0)).entries, np.eye(4) / 4.0, atol=1e-15
+        rho_zero_field(0.0).entries, np.eye(4) / 4.0, atol=1e-15
     )
     np.testing.assert_allclose(
-        rho_zero_field(CorrelationValue(-1.0)).entries,
+        rho_zero_field(-1.0).entries,
         np.outer(SINGLET, SINGLET),
         atol=1e-15,
     )
     # Values inside the noise band but outside [-1, 1/3] pass the
-    # CorrelationValue gate yet cannot form a state.
+    # susceptibility extraction yet cannot form a state.
     with pytest.raises(DataError, match="nonpositive state"):
-        rho_zero_field(CorrelationValue(-1.01))
+        rho_zero_field(-1.01)
     with pytest.raises(DataError, match="nonpositive state"):
-        rho_zero_field(CorrelationValue(0.34))
+        rho_zero_field(0.34)
 
 
 def test_zero_field_state_of_an_array_matches_scalar_calls():
     cs = np.array([-1.0, -0.5, 0.0, 0.2, 1.0 / 3.0])
-    stack = rho_zero_field(CorrelationValue(cs)).entries
+    stack = rho_zero_field(cs).entries
     assert stack.shape == (5, 4, 4)
     for c, rho in zip(cs, stack):
-        np.testing.assert_array_equal(rho, rho_zero_field(CorrelationValue(float(c))).entries)
+        np.testing.assert_array_equal(rho, rho_zero_field(float(c)).entries)
     # One value inside the noise band but outside [-1, 1/3] among valid ones
     # raises the scalar's DataError and names that value.
     with pytest.raises(DataError, match="nonpositive state: correlation 0.34"):
-        rho_zero_field(CorrelationValue(np.array([0.0, 0.34, -0.5])))
+        rho_zero_field(np.array([0.0, 0.34, -0.5]))
 
 
 def test_unphysical_measurement_rejected():
     # chi so large the implied correlation exceeds 1/3 beyond the noise band.
     with pytest.raises(DataError, match="unphysical data point"):
-        correlation_from_chi(
+        coherence_from_chi(
             SusceptibilityPoint(2.0, 10.0, ChiUnit.EMU_PER_MOL), G_REF
         )
     # Negative chi never reaches the correlation stage: the point itself
@@ -262,8 +263,9 @@ def test_noise_band_tolerated_on_high_side():
     target_c = 1.0 / 3.0 + 0.01
     chi = (target_c + 1.0) * G_REF**2 * CURIE_EMU_K_PER_MOL / (2.0 * t)
     point = SusceptibilityPoint(t, chi, ChiUnit.EMU_PER_MOL)
-    c = correlation_from_chi(point, G_REF)
-    assert c.c == pytest.approx(target_c, abs=1e-12)
+    c, physical = correlation_values(point, G_REF)
+    assert physical
+    assert c == pytest.approx(target_c, abs=1e-12)
     assert coherence_from_chi(point, G_REF).value == pytest.approx(
         target_c, abs=1e-12
     )

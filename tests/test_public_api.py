@@ -1,0 +1,50 @@
+"""The package's public surface: one public path per quantity."""
+
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import spindimer
+from spindimer import ChiUnit, DataError, SusceptibilityPoint, coherence_from_chi
+from spindimer.constants import CURIE_EMU_K_PER_MOL
+
+REMOVED = ("CorrelationValue", "correlation_from_chi", "rotate_to_sz")
+
+
+def _modules():
+    yield spindimer
+    for info in pkgutil.iter_modules(spindimer.__path__):
+        yield importlib.import_module(f"spindimer.{info.name}")
+
+
+@pytest.mark.parametrize("name", spindimer.__all__)
+def test_every_exported_name_resolves(name):
+    assert getattr(spindimer, name, None) is not None
+
+
+def test_exports_are_unique():
+    assert len(spindimer.__all__) == len(set(spindimer.__all__))
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone_everywhere(name):
+    assert name not in spindimer.__all__
+    for module in _modules():
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_coherence_from_chi_names_the_bad_sample_of_an_array():
+    g, t = 2.0, np.array([2.0, 5.0, 10.0, 20.0])
+    # c = 2 T chi / (g^2 K) - 1: the band is [-1.02, 1/3 + 0.02], and only
+    # the third sample (c = 0.9) falls outside it.
+    c = np.array([-0.4, 0.1, 0.9, 0.3])
+    chi = (c + 1.0) * g**2 * CURIE_EMU_K_PER_MOL / (2.0 * t)
+    point = SusceptibilityPoint(t, chi, ChiUnit.EMU_PER_MOL)
+    with pytest.raises(DataError, match=r"unphysical data point: correlation 0\.9$"):
+        coherence_from_chi(point, g)
+    good = SusceptibilityPoint(t[[0, 1, 3]], chi[[0, 1, 3]], ChiUnit.EMU_PER_MOL)
+    np.testing.assert_allclose(
+        coherence_from_chi(good, g).value, [0.4, 0.1, 0.3], atol=1e-12
+    )

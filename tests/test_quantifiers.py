@@ -15,6 +15,8 @@ from spindimer import (
     l1_coherence,
     rotate_to_sx,
     build_hamiltonian,
+    coherence_longitudinal,
+    coherence_transverse,
     DimerParams,
 )
 from spindimer.core import SINGLET
@@ -64,6 +66,37 @@ def test_discord_value_range_check():
         DiscordValue(-0.01)
     with pytest.raises(ValueError):
         DiscordValue(0.51)
+    with pytest.raises(ValueError, match=r"lies in \[0, 1/2\]"):
+        DiscordValue(np.array([0.1, 0.51, 0.2]))
+
+
+def test_discord_refuses_sx_coherence():
+    # In field C_x <= 1 passes the family bound, but half of it is not the
+    # discord: at (J, T, B) = (-2 K, 5 K, 0.5 T) C_x/2 = 0.114, Q = C_z/2 = 0.0545.
+    params = DimerParams(-2.0, 2.0, 5.0, 0.5)
+    c_x = coherence_transverse(params)
+    assert c_x.value <= 1.0
+    with pytest.raises(DataError, match="S_z basis"):
+        geometric_discord_zero_field(c_x)
+    q = geometric_discord_zero_field(coherence_longitudinal(params)).value
+    assert q == pytest.approx(0.0545, abs=5e-5)
+
+
+def test_discord_of_an_array_matches_scalar_calls():
+    temps = np.geomspace(0.1, 100.0, 9)
+    for b in (0.0, 1.5):
+        batch = coherence_longitudinal(DimerParams(-2.86, 2.0, temps, b))
+        q = geometric_discord_zero_field(batch).value
+        assert q.shape == temps.shape
+        expected = [
+            geometric_discord_zero_field(
+                coherence_longitudinal(DimerParams(-2.86, 2.0, float(t), b))
+            ).value
+            for t in temps
+        ]
+        assert np.array_equal(q, expected)
+    with pytest.raises(DataError, match="outside Bell-diagonal family"):
+        geometric_discord_zero_field(CoherenceValue(np.array([0.2, 1.5]), Basis.SZ))
 
 
 @settings(max_examples=60, deadline=None)

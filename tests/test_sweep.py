@@ -71,9 +71,23 @@ def test_pressure_table_from_csv(tmp_path):
         "# synthetic J(P) nodes\nP_GPa,J_kelvin\n0.0,-2.86\n2.0,-1.5\n4.0,0.5\n"
     )
     table = PressureTable.from_csv(path)
-    assert table.pressures_gpa == (0.0, 2.0, 4.0)
-    assert table.j_values_kelvin == (-2.86, -1.5, 0.5)
+    assert table.pressures_gpa.tolist() == [0.0, 2.0, 4.0]
+    assert table.j_values_kelvin.tolist() == [-2.86, -1.5, 0.5]
     assert table.source == str(path)
+
+
+def test_pressure_table_holds_read_only_float_arrays():
+    table = PressureTable((0, 2, 4), [-2.86, -1.5, 0.5])
+    for column in (table.pressures_gpa, table.j_values_kelvin):
+        assert isinstance(column, np.ndarray) and column.dtype == float
+        assert not column.flags.writeable
+    assert table == table and table in {table}
+    with pytest.raises(ValueError, match="must be finite"):
+        PressureTable((0.0, 1.0), (-2.0, np.nan))
+    with pytest.raises(ValueError, match="must be finite"):
+        PressureTable((0.0, np.inf), (-2.0, -1.0))
+    with pytest.raises(DataError, match="pressures not increasing"):
+        PressureTable(np.array([0.0, 1.0, 1.0]), np.array([-2.0, -1.0, 0.0]))
 
 
 def test_pressure_table_csv_errors(tmp_path):
@@ -286,6 +300,30 @@ def test_csv_metadata_keeps_whitespace_and_separators_in_values(tmp_path):
     path = tmp_path / "meta.csv"
     emit(table, "csv", path, timestamp="T0")
     assert read_table_csv(path).metadata == {**metadata, "timestamp": "T0"}
+
+
+# CSV cannot carry a comma or a line break in a name or an annotation cell:
+# `("a,b", "c")` would read back as `("a", "c")`, and a column named "a,b"
+# would make `read_table_csv` fail.
+CSV_BREAKERS = ["a,b", ",", "a\nb", "a\r", "a\u2028b"]
+
+
+@pytest.mark.parametrize("text", CSV_BREAKERS)
+def test_table_rejects_csv_breakers_in_column_names(text):
+    with pytest.raises(ValueError, match="commas or line breaks"):
+        SweepTable(("x", text), np.array([[1.0, 2.0]]), {}, {})
+
+
+@pytest.mark.parametrize("text", CSV_BREAKERS)
+def test_table_rejects_csv_breakers_in_annotation_names(text):
+    with pytest.raises(ValueError, match="commas or line breaks"):
+        SweepTable(("x",), np.array([[1.0], [2.0]]), {text: ("p", "q")}, {})
+
+
+@pytest.mark.parametrize("text", CSV_BREAKERS)
+def test_table_rejects_csv_breakers_in_annotation_cells(text):
+    with pytest.raises(ValueError, match="commas or line breaks"):
+        SweepTable(("x",), np.array([[1.0], [2.0]]), {"note": (text, "c")}, {})
 
 
 def test_table_rejects_ragged_annotations():
