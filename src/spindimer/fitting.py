@@ -1,10 +1,10 @@
 """Susceptibility ingestion and (J, g) estimation.
 
 The fitter is a damped Gauss-Newton (Levenberg-Marquardt) loop with the
-analytic Jacobian of the dimer susceptibility. Data are normalized to the
-canonical emu/mol frame internally, so the convergence thresholds mean the
-same thing whatever unit or overall scale the caller works in; the reported
-rss is converted back to input units squared.
+analytic Jacobian of the dimer susceptibility. The data are molar chi,
+converted to emu/mol once on entry, so the convergence thresholds mean the
+same thing in either input unit; the reported rss is converted back to
+input units squared.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import CURIE_EMU_K_PER_MOL, SI_M3_PER_EMU, TOOL_VERSION
+from .constants import CURIE_EMU_K_PER_MOL, TOOL_VERSION
 from .core import DimerParams
 from .errors import DataError, NumericError
 from .models import (
@@ -43,7 +43,8 @@ class SusceptibilitySeries:
     `data` is one array-valued point: equal-length 1-D arrays of
     temperature and chi in one unit, already checked sample by sample by
     `SusceptibilityPoint`. The series adds the shape and strictly
-    increasing temperatures, each checked once for the whole run.
+    increasing temperatures, each checked once for the whole run. Read
+    the arrays and the unit from `data`.
     """
 
     data: SusceptibilityPoint
@@ -58,19 +59,8 @@ class SusceptibilitySeries:
         if np.any(t[1:] <= t[:-1]):
             raise DataError("temperatures not increasing")
 
-    @property
-    def unit(self) -> ChiUnit:
-        return self.data.unit
-
     def __len__(self) -> int:
         return len(self.data.temperature)
-
-    def temperatures(self) -> np.ndarray:
-        return self.data.temperature
-
-    def chi_values(self) -> np.ndarray:
-        """In the series unit, as stored."""
-        return self.data.chi
 
 
 @dataclass(frozen=True)
@@ -92,11 +82,10 @@ class FitResult:
 
 
 def load_series(
-    path: str | Path,
-    unit: ChiUnit = ChiUnit.EMU_PER_MOL,
-    sample_id: str | None = None,
+    path: str | Path, unit: ChiUnit = ChiUnit.EMU_PER_MOL
 ) -> SusceptibilitySeries:
-    """Read a `T_kelvin,chi` CSV into a validated series.
+    """Read a `T_kelvin,chi` CSV into a validated series named by the file
+    stem.
 
     Strict dialect: UTF-8, exact header, `#` comments, one point per line.
     The rows are validated as one array-valued point; a bad row is reported
@@ -117,9 +106,7 @@ def load_series(
         except ValueError as exc:
             raise DataError(f"row {i + 1}: {exc}") from exc
         raise
-    return SusceptibilitySeries(
-        data, sample_id if sample_id is not None else Path(path).stem
-    )
+    return SusceptibilitySeries(data, Path(path).stem)
 
 
 def _bb_jacobian(t: np.ndarray, j: float, g: float) -> np.ndarray:
@@ -154,29 +141,17 @@ def _default_init(t0: float, chi0: float) -> tuple[float, float]:
 
 
 def fit_bleaney_bowers(
-    series: SusceptibilitySeries,
-    init: tuple[float, float] | None = None,
-    model_scale: float = 1.0,
+    series: SusceptibilitySeries, init: tuple[float, float] | None = None
 ) -> FitResult:
-    """Minimize sum [chi_i - scale * chi_model(T_i; J, g)]^2.
-
-    `model_scale` multiplies the model (beyond the series-unit conversion);
-    passing k here while scaling all chi by k reproduces the same (J, g).
-    n_moles is fixed at 1: the data are molar by contract.
-    """
+    """Minimize sum [chi_i - chi_model(T_i; J, g)]^2 over molar chi in
+    emu/mol; rss is reported in the series unit squared."""
     if len(series) < MIN_POINTS:
         raise DataError(
             f"need at least {MIN_POINTS} points for a fit, got {len(series)}"
         )
-    if not (math.isfinite(model_scale) and model_scale > 0.0):
-        raise ValueError("model_scale must be finite and > 0")
 
-    unit_scale = 1.0 if series.unit is ChiUnit.EMU_PER_MOL else SI_M3_PER_EMU
-    total_scale = model_scale * unit_scale
-    t = series.temperatures()
-    # Canonical frame: divide out the total scale so residuals, gradient,
-    # and damping behave identically for emu, SI, or rescaled data.
-    y = series.chi_values() / total_scale
+    t = series.data.temperature
+    y = series.data.chi_emu()
 
     j, g = init if init is not None else _default_init(float(t[0]), float(y[0]))
 
@@ -245,15 +220,16 @@ def fit_bleaney_bowers(
     else:
         stderr_j = stderr_g = 0.0
 
+    rss_scale = series.data.unit.value**2
     return FitResult(
         j_over_kb=j,
         g=g,
-        rss=rss * total_scale**2,
+        rss=rss * rss_scale,
         stderr_j=stderr_j,
         stderr_g=stderr_g,
         iterations=iterations,
         converged=converged,
-        rss_trace=tuple(r * total_scale**2 for r in trace),
+        rss_trace=tuple(r * rss_scale for r in trace),
     )
 
 
@@ -265,7 +241,7 @@ def coherence_series(series: SusceptibilitySeries, fit: FitResult) -> SweepTable
     """
     if not fit.converged:
         raise DataError("fit did not converge; refusing to build the series")
-    temps = series.temperatures()
+    temps = series.data.temperature
     theory = coherence_longitudinal(DimerParams(fit.j_over_kb, fit.g, temps)).value
     c, physical = correlation_values(series.data, fit.g)
     experimental = np.where(physical, np.abs(c), math.nan)

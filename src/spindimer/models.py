@@ -67,10 +67,12 @@ _LEVEL_STATES = {Basis.SZ: _SZ_STATES, Basis.SX: _SZ_STATES @ _R2}
 
 
 class ChiUnit(Enum):
-    """Units a susceptibility value is reported in."""
+    """Units a susceptibility value is reported in. Each member's value is
+    1 emu/mol expressed in that unit, the one conversion factor the package
+    uses."""
 
-    EMU_PER_MOL = "emu_per_mol"
-    SI_M3_PER_MOL = "si_m3_per_mol"
+    EMU_PER_MOL = 1.0
+    SI_M3_PER_MOL = SI_M3_PER_EMU
 
 
 def in_domain(
@@ -105,9 +107,7 @@ class SusceptibilityPoint:
 
     def chi_emu(self) -> float | np.ndarray:
         """Susceptibility in emu/mol regardless of the stored unit."""
-        if self.unit is ChiUnit.EMU_PER_MOL:
-            return self.chi
-        return self.chi / SI_M3_PER_EMU
+        return self.chi / self.unit.value
 
 
 @dataclass(frozen=True)
@@ -159,35 +159,29 @@ def _level_mixture(p: np.ndarray, basis: Basis) -> DensityMatrix4:
 
 
 def bleaney_bowers_chi(
-    j_over_kb: float,
-    g: float,
-    temperature: float | np.ndarray,
-    n_moles: float = 1.0,
-    unit: ChiUnit = ChiUnit.EMU_PER_MOL,
+    j_over_kb: float, g: float, temperature: float | np.ndarray
 ) -> SusceptibilityPoint:
-    """Dimer susceptibility 2 N (g mu_B)^2 / (k_B T) / (3 + exp(-J/k_B T)).
+    """Molar dimer susceptibility in emu/mol,
+    2 N_A (g mu_B)^2 / (k_B T) / (3 + exp(-J/k_B T)).
 
-    N = n_moles * N_A dimers; with the default n_moles = 1 the result is
-    molar. The requested unit only rescales the stored value. The factor
-    1 / (3 + exp(-J/T)) is the zero-field population of the m = 0 triplet,
-    taken from the shifted weights, so chi stays finite for any J/T.
+    The factor 1 / (3 + exp(-J/T)) is the zero-field population of the
+    m = 0 triplet, taken from the shifted weights, so chi stays finite for
+    any J/T.
     """
     if np.less_equal(temperature, 0.0).any():
         raise ValueError("temperature must be > 0 K")
     triplet_zero = _shifted_weights(j_over_kb, 0.0, temperature)[2][..., 2]
-    chi_emu = n_moles * 2.0 * g**2 * CURIE_EMU_K_PER_MOL / temperature * triplet_zero
-    chi = chi_emu if unit is ChiUnit.EMU_PER_MOL else chi_emu * SI_M3_PER_EMU
-    return SusceptibilityPoint(temperature, float_or_array(chi), unit)
+    chi = 2.0 * g**2 * CURIE_EMU_K_PER_MOL / temperature * triplet_zero
+    return SusceptibilityPoint(temperature, float_or_array(chi))
 
 
 def correlation_values(
-    point: SusceptibilityPoint, g: float, n_moles: float = 1.0
+    point: SusceptibilityPoint, g: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spin-spin correlation c = 2 k_B T chi_molar / (N_A g^2 mu_B^2) - 1 of
     each sample, and the mask of samples inside the physical range widened
     by the noise band. Nothing is clamped or rejected."""
-    chi_molar = point.chi_emu() / n_moles
-    c = 2.0 * point.temperature * chi_molar / (g**2 * CURIE_EMU_K_PER_MOL) - 1.0
+    c = 2.0 * point.temperature * point.chi_emu() / (g**2 * CURIE_EMU_K_PER_MOL) - 1.0
     lo, hi = _CORRELATION_BAND
     return c, (lo <= c) & (c <= hi)
 
@@ -210,15 +204,13 @@ def rho_zero_field(c: float | np.ndarray) -> DensityMatrix4:
     return _level_mixture(p, Basis.SZ)
 
 
-def coherence_from_chi(
-    point: SusceptibilityPoint, g: float, n_moles: float = 1.0
-) -> CoherenceValue:
+def coherence_from_chi(point: SusceptibilityPoint, g: float) -> CoherenceValue:
     """l1 coherence |c| of the zero-field state, straight from susceptibility.
 
     No clamping: a correlation outside the physical range by more than the
     noise band raises "unphysical data point", naming the first such sample.
     """
-    c, physical = correlation_values(point, g, n_moles)
+    c, physical = correlation_values(point, g)
     if not np.all(physical):
         bad = np.extract(~physical, c)[0]
         raise DataError(f"unphysical data point: correlation {bad:.6g}")
@@ -287,6 +279,8 @@ def critical_field(j_over_kb: float, g: float) -> CriticalField:
     and 1e-9 T up to B_c = 100 T and grow in proportion to B_c beyond it; a
     larger disagreement raises NumericError.
     """
+    # A finite J and g > 0, checked before B_c divides by g.
+    DimerParams(j_over_kb, g, temperature=1.0)
     if j_over_kb >= 0.0:
         raise DataError("no level crossing: coupling must be antiferromagnetic (J < 0)")
     b_closed = -j_over_kb / (g * MU_B_KELVIN_PER_TESLA)

@@ -135,14 +135,22 @@ class PressureTable:
         return cls(pressures, j_values, source=str(path))
 
 
+def _read_text(path: str | Path) -> str:
+    """The file's UTF-8 text; a file that cannot be read or decoded is
+    reported with its path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path} as UTF-8: {exc}") from exc
+
+
 def _read_two_column_csv(
     path: str | Path, expected_header: str
 ) -> tuple[str, list[tuple[float, float]]]:
     """Shared strict reader: `#` comments, exact header, two floats per row."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     header: str | None = None
     rows: list[tuple[float, float]] = []
     row_index = 0
@@ -188,9 +196,10 @@ def pressure_to_j(
     return float_or_array(np.interp(p, table.pressures_gpa, table.j_values_kelvin))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Rectangular numeric grid plus string annotation columns.
+    """Rectangular numeric grid plus string annotation columns, compared by
+    identity, since `==` on arrays would raise.
 
     Non-finite numeric entries are only allowed on rows whose `flag`
     annotation is nonempty; everything else must be finite.
@@ -410,10 +419,7 @@ def emit(
 
 def read_table_csv(path: str | Path) -> SweepTable:
     """Parse a table emitted as CSV back into a SweepTable."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     metadata: dict[str, str] = {}
     header: list[str] | None = None
     raw_rows: list[list[str]] = []
@@ -427,7 +433,12 @@ def read_table_csv(path: str | Path) -> SweepTable:
         if header is None:
             header = line.split(",")
             continue
-        raw_rows.append(line.split(","))
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise DataError(
+                f"row {len(raw_rows) + 1}: expected {len(header)} fields, got {line!r}"
+            )
+        raw_rows.append(fields)
     if header is None:
         raise DataError(f"malformed header: {path} has no header line")
 
@@ -456,10 +467,7 @@ def read_table_csv(path: str | Path) -> SweepTable:
 
 def read_table_json(path: str | Path) -> SweepTable:
     """Parse a table emitted as JSON back into a SweepTable."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
+    payload = json.loads(_read_text(path))
     names = tuple(payload["column_order"])
     values = np.array(
         [

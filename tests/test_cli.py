@@ -33,6 +33,11 @@ def test_critical_field_data_error_exit_3(capsys):
     assert "no level crossing" in capsys.readouterr().err
 
 
+def test_critical_field_zero_g_exit_2(capsys):
+    assert main(["critical-field", "--j-kelvin", "-2.86", "--g", "0"]) == 2
+    assert "g must be > 0" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["critical-field"])  # missing required --j-kelvin
@@ -164,6 +169,24 @@ def test_fit_malformed_csv_exit_3(tmp_path, capsys):
     bad.write_text("temperature,chi\n2.0,0.1\n")
     assert main(["fit", str(bad)]) == 3
     assert "malformed header" in capsys.readouterr().err
+
+
+def test_fit_undecodable_csv_exit_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"# caf\xe9\nT_kelvin,chi\n2.0,0.1\n")
+    assert main(["fit", str(bad)]) == 3
+    assert "cannot decode" in capsys.readouterr().err
+
+
+def test_pressure_sweep_undecodable_table_exit_3(tmp_path, capsys):
+    jp = tmp_path / "jp.csv"
+    jp.write_bytes(b"# caf\xe9\nP_GPa,J_kelvin\n0.0,-2.86\n10.0,1.0\n")
+    code = main(
+        ["sweep", "pressure", "--p-min", "0", "--p-max", "10", "--p-steps", "5",
+         "--pressure-table", str(jp), "--t-kelvin", "2.0"]
+    )
+    assert code == 3
+    assert "cannot decode" in capsys.readouterr().err
 
 
 def test_pressure_sweep_end_to_end(tmp_path):

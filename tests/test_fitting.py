@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +28,10 @@ TEMPS = np.linspace(2.0, 350.0, 50)
 DATA = Path(__file__).parent / "data"
 
 
-def synthetic_series(unit=ChiUnit.EMU_PER_MOL, scale=1.0, rng=None, noise=0.0):
+def synthetic_series(unit=ChiUnit.EMU_PER_MOL, rng=None, noise=0.0):
     values = []
     for t in TEMPS:
-        chi = bleaney_bowers_chi(J_TRUE, G_TRUE, float(t), unit=unit).chi * scale
+        chi = bleaney_bowers_chi(J_TRUE, G_TRUE, float(t)).chi * unit.value
         if rng is not None and noise > 0.0:
             chi *= 1.0 + noise * rng.standard_normal()
         values.append(chi)
@@ -64,8 +63,8 @@ def test_load_series_happy_path(tmp_path):
     series = load_series(path)
     assert len(series) == 50
     assert series.sample_id == "sample"
-    assert series.unit is ChiUnit.EMU_PER_MOL
-    np.testing.assert_allclose(series.temperatures(), TEMPS, atol=0.0)
+    assert series.data.unit is ChiUnit.EMU_PER_MOL
+    np.testing.assert_allclose(series.data.temperature, TEMPS, atol=0.0)
 
 
 def test_load_series_malformed_header(tmp_path):
@@ -131,14 +130,13 @@ def test_load_series_names_first_of_several_bad_rows(tmp_path):
 
 def test_load_series_keeps_unit_and_arrays(tmp_path):
     rows = [f"{float(t)!r},{0.01 * t!r}" for t in range(2, 12)]
-    path = write_csv(tmp_path / "si.csv", rows)
-    series = load_series(path, ChiUnit.SI_M3_PER_MOL, sample_id="run-7")
-    assert series.unit is ChiUnit.SI_M3_PER_MOL
+    path = write_csv(tmp_path / "run-7.csv", rows)
+    series = load_series(path, ChiUnit.SI_M3_PER_MOL)
     assert series.data.unit is ChiUnit.SI_M3_PER_MOL
     assert series.sample_id == "run-7"
     assert len(series) == 10
-    assert series.temperatures().tolist() == [float(t) for t in range(2, 12)]
-    assert series.chi_values().tolist() == [0.01 * t for t in range(2, 12)]
+    assert series.data.temperature.tolist() == [float(t) for t in range(2, 12)]
+    assert series.data.chi.tolist() == [0.01 * t for t in range(2, 12)]
 
 
 def test_series_refuses_empty_data():
@@ -209,16 +207,6 @@ def test_fit_noisy_standard_errors_are_sane():
     assert fit.rss > 0.0
 
 
-def test_fit_scale_equivariance():
-    base = fit_bleaney_bowers(synthetic_series(), init=(-1.0, 2.3))
-    for k in (4.0 * math.pi * 1e-6, 1.0e3):
-        scaled = fit_bleaney_bowers(
-            synthetic_series(scale=k), init=(-1.0, 2.3), model_scale=k
-        )
-        assert abs(scaled.j_over_kb - base.j_over_kb) < 1e-10
-        assert abs(scaled.g - base.g) < 1e-10
-
-
 def test_fit_si_unit_route_matches_emu():
     emu = fit_bleaney_bowers(synthetic_series(), init=(-1.0, 2.3))
     si = fit_bleaney_bowers(
@@ -232,8 +220,8 @@ def test_fit_rss_reported_in_input_units():
     rng = np.random.default_rng(21)
     noisy_emu = synthetic_series(rng=rng, noise=0.01)
     si_data = SusceptibilityPoint(
-        noisy_emu.temperatures(),
-        noisy_emu.chi_values() * SI_M3_PER_EMU,
+        noisy_emu.data.temperature,
+        noisy_emu.data.chi * SI_M3_PER_EMU,
         ChiUnit.SI_M3_PER_MOL,
     )
     emu_fit = fit_bleaney_bowers(noisy_emu)
@@ -347,10 +335,10 @@ def test_coherence_series_noiseless_residuals_vanish():
 def test_coherence_series_flags_corrupted_point():
     clean = synthetic_series()
     fit = fit_bleaney_bowers(clean)
-    chi = clean.chi_values().copy()
+    chi = clean.data.chi.copy()
     chi[25] *= 10.0
     corrupted = SusceptibilitySeries(
-        SusceptibilityPoint(clean.temperatures(), chi, clean.unit), "corrupted"
+        SusceptibilityPoint(clean.data.temperature, chi, clean.data.unit), "corrupted"
     )
     table = coherence_series(corrupted, fit)
     flags = table.annotations["flag"]

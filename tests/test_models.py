@@ -207,8 +207,7 @@ def test_susceptibility_route_equals_closed_form_at_zero_field():
 
 def test_si_unit_conversion_round_trip():
     p_emu = bleaney_bowers_chi(J_REF, G_REF, 2.43)
-    p_si = bleaney_bowers_chi(J_REF, G_REF, 2.43, unit=ChiUnit.SI_M3_PER_MOL)
-    assert p_si.chi == pytest.approx(p_emu.chi * SI_M3_PER_EMU, rel=1e-14)
+    p_si = SusceptibilityPoint(2.43, p_emu.chi * SI_M3_PER_EMU, ChiUnit.SI_M3_PER_MOL)
     assert p_si.chi_emu() == pytest.approx(p_emu.chi, rel=1e-14)
     assert coherence_from_chi(p_si, G_REF).value == pytest.approx(
         coherence_from_chi(p_emu, G_REF).value, abs=1e-12
@@ -278,6 +277,12 @@ def test_ferromagnetic_coupling_has_no_crossing():
         critical_field(1.5, 2.0)
     with pytest.raises(DataError, match="no level crossing"):
         critical_field(0.0, 2.0)
+
+
+@pytest.mark.parametrize("g", [0.0, -2.0])
+def test_critical_field_refuses_nonpositive_g(g):
+    with pytest.raises(ValueError, match="g must be > 0"):
+        critical_field(J_REF, g)
 
 
 def test_partition_function_underflow():

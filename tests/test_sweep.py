@@ -344,6 +344,27 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert back.metadata[key] == value
 
 
+def test_read_table_csv_refuses_undecodable_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"# note = caf\xe9\na,b\n1.0,2.0\n")
+    with pytest.raises(DataError, match="cannot decode"):
+        read_table_csv(path)
+
+
+@pytest.mark.parametrize("row", ["3.0", "1.0,2.0,5.0"], ids=["short", "long"])
+def test_read_table_csv_refuses_ragged_rows(tmp_path, row):
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"a,b\n1.0,2.0\n{row}\n")
+    with pytest.raises(DataError, match=f"row 2: expected 2 fields, got '{row}'"):
+        read_table_csv(path)
+
+
+def test_tables_compare_by_identity():
+    a, b = _small_table(), _small_table()
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
+
+
 def test_json_round_trip_is_exact(tmp_path):
     table = _small_table()
     path = tmp_path / "sweep.json"
