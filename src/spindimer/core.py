@@ -2,7 +2,9 @@
 
 Everything here is brute force on purpose: Hamiltonians are assembled from
 Kronecker products of single-spin operators, thermal states come from a full
-eigendecomposition, and basis changes are explicit unitary conjugations.
+eigendecomposition, and the S_x basis change is an exact Hadamard butterfly
+(sums and differences, then a power-of-two scale) equal to conjugation by
+_R2. A longitudinal-field state is real, so states stay real throughout.
 The closed-form expressions elsewhere in the package are checked against
 this layer, never the other way around.
 
@@ -96,7 +98,12 @@ class Hamiltonian4:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.entries, dtype=float)
+        h = np.asarray(self.entries)
+        if np.iscomplexobj(h):
+            if np.any(h.imag != 0.0):
+                raise ValueError("Hamiltonian must be real symmetric")
+            h = h.real
+        h = np.asarray(h, dtype=float)
         if h.shape[-2:] != (4, 4):
             raise ValueError("Hamiltonian must be 4x4")
         scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
@@ -111,13 +118,15 @@ class Hamiltonian4:
 class DensityMatrix4:
     """Two-qubit state: Hermitian, unit trace, positive semidefinite,
     tagged with the product basis its entries refer to. A (..., 4, 4) stack
-    holds one state per leading index, all in the same basis."""
+    holds one state per leading index, all in the same basis. Entries keep
+    their kind: real ones are stored as float64, complex ones as complex128."""
 
     entries: np.ndarray
     basis: Basis
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.entries, dtype=complex)
+        rho = np.asarray(self.entries)
+        rho = np.asarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
         if rho.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
         if np.any(np.abs(rho - np.swapaxes(rho, -1, -2).conj()) > HERMITICITY_ATOL):
@@ -173,12 +182,34 @@ def gibbs_state(h: Hamiltonian4, temperature: float | np.ndarray) -> DensityMatr
         raise NumericError("temperature underflow")
     weights /= weights.sum(axis=-1, keepdims=True)
     rho = (evecs * weights[..., None, :]) @ np.swapaxes(evecs, -1, -2)
-    return DensityMatrix4(rho.astype(complex), Basis.SZ)
+    return DensityMatrix4(rho, Basis.SZ)
+
+
+def _butterfly(src: np.ndarray, dst: np.ndarray, stride: int) -> None:
+    """(x, y) -> (x + y, x - y) over the bit of the given stride in the
+    flattened 16-entry index of each matrix, written into dst."""
+    x, y = src.reshape(-1, 2, stride), dst.reshape(-1, 2, stride)
+    np.add(x[:, 0], x[:, 1], out=y[:, 0])
+    np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
 
 
 def rotate_to_sx(rho: DensityMatrix4) -> DensityMatrix4:
-    """Re-express an S_z-basis state in the S_x product basis."""
+    """Re-express an S_z-basis state in the S_x product basis.
+
+    _R2 rho _R2 with _R2 = (H x H)/2 is one Hadamard butterfly over each of
+    the four qubit indices of the flattened matrix, then an exact * 0.25.
+    Every matrix of a stack is rotated by the same elementwise operations,
+    so the result does not depend on the stack size, and dyadic inputs
+    rotate exactly.
+    """
     if rho.basis is not Basis.SZ:
         raise ValueError("rotate_to_sx expects a state in the Sz basis")
-    return DensityMatrix4(_R2 @ rho.entries @ _R2, Basis.SX)
+    flat = rho.entries.reshape(-1, 16)
+    a, b = np.empty_like(flat), np.empty_like(flat)
+    _butterfly(flat, a, 8)
+    _butterfly(a, b, 4)
+    _butterfly(b, a, 2)
+    _butterfly(a, b, 1)
+    b *= 0.25
+    return DensityMatrix4(b.reshape(rho.entries.shape), Basis.SX)
 

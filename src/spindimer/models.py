@@ -155,7 +155,7 @@ def _level_mixture(p: np.ndarray, basis: Basis) -> DensityMatrix4:
     of p, in level_energies order), in the given product basis."""
     states = _LEVEL_STATES[basis]
     rho = np.einsum("...k,ki,kj->...ij", p, states, states)
-    return DensityMatrix4(rho.astype(complex), basis)
+    return DensityMatrix4(rho, basis)
 
 
 def bleaney_bowers_chi(

@@ -44,7 +44,8 @@ from .quantifiers import l1_coherence
 ORACLE_ATOL = 1e-10
 
 # Largest grid a sweep accepts. A sweep holds its whole working set at once,
-# about 1.4 KB per row at peak, so this caps one sweep near 1.4 GB.
+# about 744 bytes per row at peak (tracemalloc, 100k-row sweep in either
+# basis), so this caps one sweep near 0.75 GB.
 MAX_STEPS = 10**6
 
 # Ground-state labels by bitmask over the levels in `level_energies` order;

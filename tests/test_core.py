@@ -131,15 +131,16 @@ def test_gibbs_rejects_nonpositive_temperature():
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix4(np.eye(4, dtype=complex), Basis.SZ)  # trace 4
-    nonherm = np.eye(4, dtype=complex) / 4.0
-    nonherm[0, 1] = 1e-3
-    with pytest.raises(ValueError):
-        DensityMatrix4(nonherm, Basis.SZ)
-    negative = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
-    with pytest.raises(ValueError):
-        DensityMatrix4(negative, Basis.SZ)
+    for dtype in (float, complex):
+        with pytest.raises(ValueError, match="unit trace"):
+            DensityMatrix4(np.eye(4, dtype=dtype), Basis.SZ)  # trace 4
+        nonherm = np.eye(4, dtype=dtype) / 4.0
+        nonherm[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix4(nonherm, Basis.SZ)
+        negative = np.diag([0.6, 0.5, -0.05, -0.05]).astype(dtype)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DensityMatrix4(negative, Basis.SZ)
 
 
 def test_rotation_fixes_maximally_mixed():
@@ -154,6 +155,78 @@ def test_rotation_fixes_singlet_projector():
     proj = DensityMatrix4(np.outer(SINGLET, SINGLET).astype(complex), Basis.SZ)
     out = rotate_to_sx(proj)
     np.testing.assert_allclose(out.entries, proj.entries, atol=1e-15)
+
+
+# Dyadic states and their hand-computed S_x forms: the butterfly only adds,
+# subtracts and scales by 1/4, so these rotate without rounding.
+_SINGLET_PROJ = np.array(
+    [[0.0, 0.0, 0.0, 0.0], [0.0, 0.5, -0.5, 0.0], [0.0, -0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]]
+)
+DYADIC_SX = {
+    "maximally mixed": (np.eye(4) / 4.0, np.eye(4) / 4.0),
+    "|00><00|": (np.diag([1.0, 0.0, 0.0, 0.0]), np.full((4, 4), 0.25)),
+    # The singlet only changes sign: (|+-> - |-+>)/sqrt(2) up to -1.
+    "singlet": (_SINGLET_PROJ, _SINGLET_PROJ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DYADIC_SX))
+def test_rotation_is_exact_on_dyadic_states(name):
+    rho_z, rho_x = DYADIC_SX[name]
+    for dtype in (float, complex):
+        out = rotate_to_sx(DensityMatrix4(rho_z.astype(dtype), Basis.SZ))
+        assert out.entries.dtype == dtype
+        assert (out.entries == rho_x).all()
+        twice = rotate_to_sx(DensityMatrix4(out.entries, Basis.SZ))
+        assert (twice.entries == rho_z).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 2000])
+def test_rotated_stack_equals_each_single_rotation(n):
+    # Elementwise butterflies round every matrix alike; a stacked BLAS
+    # product need not.
+    rng = np.random.default_rng(n)
+    t = rng.uniform(0.05, 300.0, n)
+    params = DimerParams(rng.uniform(-10.0, 10.0, n), 2.0, t, rng.uniform(0.0, 20.0, n))
+    rho = gibbs_state(build_hamiltonian(params), t)
+    stack = rotate_to_sx(rho).entries
+    for k in range(n):
+        one = rotate_to_sx(DensityMatrix4(rho.entries[k], Basis.SZ)).entries
+        assert np.array_equal(stack[k], one)
+
+
+def test_real_states_stay_real():
+    h = build_hamiltonian(DimerParams(-2.86, 2.0, 1.0, 0.5))
+    rho = gibbs_state(h, 1.0)
+    assert rho.entries.dtype == np.float64
+    assert rotate_to_sx(rho).entries.dtype == np.float64
+    assert DensityMatrix4(np.diag([1, 0, 0, 0]), Basis.SZ).entries.dtype == np.float64
+
+
+def test_complex_state_rotates_like_the_conjugation():
+    # The projector on (|00> + i|11>)/sqrt(2) has an imaginary coherence.
+    psi = np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0)
+    rho = DensityMatrix4(np.outer(psi, psi.conj()), Basis.SZ)
+    out = rotate_to_sx(rho).entries
+    assert out.dtype == np.complex128
+    assert np.abs(out - _R2 @ rho.entries @ _R2).max() <= 1e-15
+    assert np.abs(out.imag).max() > 0.1
+
+
+def test_hamiltonian_refuses_imaginary_entries():
+    h = np.zeros((4, 4), dtype=complex)
+    h[1, 2], h[2, 1] = 1.0j, -1.0j
+    with pytest.raises(ValueError, match="Hamiltonian must be real symmetric"):
+        Hamiltonian4(h)
+    with pytest.raises(ValueError, match="Hamiltonian must be real symmetric"):
+        Hamiltonian4(np.stack([np.eye(4, dtype=complex), h]))
+
+
+def test_hamiltonian_accepts_complex_array_with_zero_imaginary_parts():
+    real = build_hamiltonian(DimerParams(-2.86, 2.0, 1.0, 0.5)).entries
+    h = Hamiltonian4(real.astype(complex))
+    assert h.entries.dtype == np.float64
+    assert np.array_equal(h.entries, real)
 
 
 def test_rotation_rejects_wrong_basis():
@@ -210,25 +283,26 @@ def test_ground_state_identity_across_crossing(j, g, ratio):
 
 # --- stacks: one batched call, every matrix checked on its own --------------
 
-VALID_STATE = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-_NONHERM = np.eye(4, dtype=complex) / 4.0
+VALID_STATE = np.diag([0.4, 0.3, 0.2, 0.1])
+_NONHERM = np.eye(4) / 4.0
 _NONHERM[0, 1] = 1e-3
 BAD_STATES = {
-    "unit trace": np.eye(4, dtype=complex),
+    "unit trace": np.eye(4),
     "Hermitian": _NONHERM,
-    "positive semidefinite": np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex),
+    "positive semidefinite": np.diag([0.6, 0.5, -0.05, -0.05]),
 }
 
 
 @pytest.mark.parametrize("what", sorted(BAD_STATES))
 def test_stack_with_one_bad_state_raises_like_the_single_state(what):
-    bad = BAD_STATES[what]
-    with pytest.raises(ValueError, match=what) as single:
-        DensityMatrix4(bad, Basis.SZ)
-    stack = np.stack([VALID_STATE, bad, VALID_STATE, MAXMIX.entries])
-    with pytest.raises(ValueError) as batched:
-        DensityMatrix4(stack, Basis.SZ)
-    assert str(batched.value) == str(single.value)
+    for dtype in (float, complex):
+        bad = BAD_STATES[what].astype(dtype)
+        with pytest.raises(ValueError, match=what) as single:
+            DensityMatrix4(bad, Basis.SZ)
+        stack = np.stack([VALID_STATE, bad, VALID_STATE, np.eye(4) / 4.0]).astype(dtype)
+        with pytest.raises(ValueError) as batched:
+            DensityMatrix4(stack, Basis.SZ)
+        assert str(batched.value) == str(single.value)
 
 
 def test_stack_checks_each_hamiltonian_on_its_own_scale():
