@@ -8,6 +8,13 @@ _R2. A longitudinal-field state is real, so states stay real throughout.
 The closed-form expressions elsewhere in the package are checked against
 this layer, never the other way around.
 
+Validation happens once, at the boundary. The public constructors
+(DimerParams, Hamiltonian4, DensityMatrix4) check every matrix in full. The
+builders here (build_hamiltonian, gibbs_state, rotate_to_sx) check only
+what their construction leaves open, then create their result through
+_trusted, which skips the constructor's checks: a sweep's states are never
+re-diagonalized just to prove they are states.
+
 Conventions: |0> is the spin-up S_z eigenstate, the two-spin product basis
 is ordered {|00>, |01>, |10>, |11>}, and all energies are stored in kelvin
 (divided by k_B) so matrix entries stay O(1).
@@ -15,6 +22,7 @@ is ordered {|00>, |01>, |10>, |11>}, and all energies are stored in kelvin
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TypeVar
 
 import numpy as np
 
@@ -52,6 +60,26 @@ _R2 = np.kron(_R, _R)
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 TRIPLET_ZERO = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+
+
+_T = TypeVar("_T")
+
+
+def _trusted(cls: type[_T], **fields) -> _T:
+    """An instance of the frozen dataclass `cls` holding `fields`, without
+    running its __post_init__ checks. An array field is stored as a
+    read-only view, so an array the caller still holds stays writeable.
+
+    Only for objects the package built itself, after checking whatever their
+    construction does not guarantee. Every field must be passed.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def float_or_array(x) -> float | np.ndarray:
@@ -92,18 +120,20 @@ class DimerParams:
 
 @dataclass(frozen=True)
 class Hamiltonian4:
-    """4x4 real symmetric two-spin Hamiltonian, entries in kelvin, or a
-    (..., 4, 4) stack of them, each checked on its own scale."""
+    """4x4 real symmetric two-spin Hamiltonian with finite entries in
+    kelvin, or a (..., 4, 4) stack of them, each checked on its own scale."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         h = np.asarray(self.entries)
+        h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
+        if not np.isfinite(h).all():
+            raise ValueError("Hamiltonian entries must be finite")
         if np.iscomplexobj(h):
             if np.any(h.imag != 0.0):
                 raise ValueError("Hamiltonian must be real symmetric")
             h = h.real
-        h = np.asarray(h, dtype=float)
         if h.shape[-2:] != (4, 4):
             raise ValueError("Hamiltonian must be 4x4")
         scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
@@ -116,7 +146,7 @@ class Hamiltonian4:
 
 @dataclass(frozen=True)
 class DensityMatrix4:
-    """Two-qubit state: Hermitian, unit trace, positive semidefinite,
+    """Two-qubit state: finite, Hermitian, unit trace, positive semidefinite,
     tagged with the product basis its entries refer to. A (..., 4, 4) stack
     holds one state per leading index, all in the same basis. Entries keep
     their kind: real ones are stored as float64, complex ones as complex128."""
@@ -127,6 +157,8 @@ class DensityMatrix4:
     def __post_init__(self) -> None:
         rho = np.asarray(self.entries)
         rho = np.asarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix entries must be finite")
         if rho.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
         if np.any(np.abs(rho - np.swapaxes(rho, -1, -2).conj()) > HERMITICITY_ATOL):
@@ -145,10 +177,20 @@ def build_hamiltonian(params: DimerParams) -> Hamiltonian4:
     The spectrum is {-J/4 - h, -J/4, -J/4 + h, 3J/4} in kelvin, with
     h = g mu_B B / k_B. Array parameters give one matrix per broadcast
     element.
+
+    The matrix is real symmetric constants times two scalars, so the only
+    thing left to check is that its entries are finite: g mu_B B can
+    overflow for a finite B. The largest entry is |J|/4 + |h|, so that one
+    scalar per matrix is checked instead of its 16 entries.
     """
-    j = np.asarray(params.j_over_kb, dtype=float)[..., None, None]
-    h = np.asarray(params.zeeman_kelvin, dtype=float)[..., None, None]
-    return Hamiltonian4(-j * _S1_DOT_S2 - h * _SZ_TOTAL)
+    j = np.asarray(params.j_over_kb, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.asarray(params.zeeman_kelvin, dtype=float)
+        largest = 0.25 * np.abs(j) + np.abs(h)
+    if not np.isfinite(largest).all():
+        raise ValueError("Hamiltonian entries must be finite")
+    entries = -j[..., None, None] * _S1_DOT_S2 - h[..., None, None] * _SZ_TOTAL
+    return _trusted(Hamiltonian4, entries=entries)
 
 
 def eigensystem(h: Hamiltonian4) -> tuple[np.ndarray, np.ndarray]:
@@ -171,24 +213,38 @@ def gibbs_state(h: Hamiltonian4, temperature: float | np.ndarray) -> DensityMatr
     anything non-finite that slips through raises NumericError. A stack of
     Hamiltonians takes one temperature per matrix (or one for all) and is
     diagonalized in a single call.
+
+    The normalized weights are the state's spectrum and the eigenvectors are
+    orthonormal, so the state is symmetric, of unit trace and positive
+    semidefinite by construction once the weights are finite and sum to 1;
+    those O(N) checks replace re-deriving the spectrum with eigvalsh.
     """
     t = np.asarray(temperature, dtype=float)
-    if np.any(t <= 0.0):
+    if (t <= 0.0).any():
         raise ValueError("temperature must be > 0 K")
+    if not np.isfinite(t).all():
+        raise ValueError("temperature must be finite")
     evals, evecs = np.linalg.eigh(h.entries)
     shifted = evals - evals.min(axis=-1, keepdims=True)
     weights = np.exp(-shifted / t[..., None])
-    if not np.all(np.isfinite(weights)):
+    # Each weight is at most 1 or NaN, so the sum is finite exactly when
+    # every weight is.
+    total = weights.sum(axis=-1, keepdims=True)
+    if not np.isfinite(total).all():
         raise NumericError("temperature underflow")
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= total
+    if (np.abs(weights.sum(axis=-1) - 1.0) > TRACE_ATOL).any():
+        raise NumericError("Boltzmann weights do not sum to 1")
     rho = (evecs * weights[..., None, :]) @ np.swapaxes(evecs, -1, -2)
-    return DensityMatrix4(rho, Basis.SZ)
+    return _trusted(DensityMatrix4, entries=rho, basis=Basis.SZ)
 
 
 def _butterfly(src: np.ndarray, dst: np.ndarray, stride: int) -> None:
     """(x, y) -> (x + y, x - y) over the bit of the given stride in the
-    flattened 16-entry index of each matrix, written into dst."""
-    x, y = src.reshape(-1, 2, stride), dst.reshape(-1, 2, stride)
+    16-entry index on the first axis of a (16, N) stack, written into dst.
+    Each ufunc call then runs over whole rows of N matrices."""
+    n = src.shape[-1]
+    x, y = src.reshape(-1, 2, stride, n), dst.reshape(-1, 2, stride, n)
     np.add(x[:, 0], x[:, 1], out=y[:, 0])
     np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
 
@@ -201,15 +257,23 @@ def rotate_to_sx(rho: DensityMatrix4) -> DensityMatrix4:
     Every matrix of a stack is rotated by the same elementwise operations,
     so the result does not depend on the stack size, and dyadic inputs
     rotate exactly.
+
+    The input was checked when it was built, and an orthogonal conjugation
+    keeps its symmetry, trace and spectrum, so the result is not checked
+    again.
     """
     if rho.basis is not Basis.SZ:
         raise ValueError("rotate_to_sx expects a state in the Sz basis")
-    flat = rho.entries.reshape(-1, 16)
-    a, b = np.empty_like(flat), np.empty_like(flat)
-    _butterfly(flat, a, 8)
+    entries = rho.entries.reshape(-1, 16).T
+    a = np.empty(entries.shape, dtype=entries.dtype)
+    b = np.empty_like(a)
+    _butterfly(entries, a, 8)
     _butterfly(a, b, 4)
     _butterfly(b, a, 2)
     _butterfly(a, b, 1)
     b *= 0.25
-    return DensityMatrix4(b.reshape(rho.entries.shape), Basis.SX)
+    # Back to one C-ordered matrix per row: reductions over each matrix,
+    # as in l1_coherence, then add in the same order at every stack size.
+    rotated = np.ascontiguousarray(b.T).reshape(rho.entries.shape)
+    return _trusted(DensityMatrix4, entries=rotated, basis=Basis.SX)
 

@@ -13,6 +13,7 @@ counterpart in `core`; the test suite holds the two routes together at
 tight tolerances.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,7 @@ from .core import (
     Basis,
     DensityMatrix4,
     DimerParams,
+    _trusted,
     build_hamiltonian,
     eigensystem,
     float_or_array,
@@ -152,10 +154,17 @@ def _populations(p: DimerParams) -> np.ndarray:
 
 def _level_mixture(p: np.ndarray, basis: Basis) -> DensityMatrix4:
     """sum_k p_k |k><k| over the four levels (populations on the last axis
-    of p, in level_energies order), in the given product basis."""
+    of p, in level_energies order), in the given product basis.
+
+    The level states are orthonormal, so the populations are the state's
+    spectrum: every caller's populations are >= 0 and sum to 1 by their
+    construction, and only their finiteness is checked here.
+    """
+    if not np.isfinite(p).all():
+        raise ValueError("density matrix entries must be finite")
     states = _LEVEL_STATES[basis]
     rho = np.einsum("...k,ki,kj->...ij", p, states, states)
-    return DensityMatrix4(rho, basis)
+    return _trusted(DensityMatrix4, entries=rho, basis=basis)
 
 
 def bleaney_bowers_chi(
@@ -264,8 +273,11 @@ def rho_transverse(params: DimerParams) -> DensityMatrix4:
 
 def _ground_is_singlet(j_over_kb: float, g: float, b_tesla) -> np.ndarray:
     """Brute-force ground-state identity used by the bisection route, one
-    answer per field in `b_tesla`."""
-    params = DimerParams(j_over_kb, g, temperature=1.0, b_field=b_tesla)
+    answer per field in `b_tesla`. J and g are checked by critical_field,
+    and every field lies in its bracket, which it checks once."""
+    params = _trusted(
+        DimerParams, j_over_kb=j_over_kb, g=g, temperature=1.0, b_field=b_tesla
+    )
     _, evecs = eigensystem(build_hamiltonian(params))
     return (evecs[..., :, 0] @ SINGLET) ** 2 > 0.5
 
@@ -287,6 +299,8 @@ def critical_field(j_over_kb: float, g: float) -> CriticalField:
     scale = max(b_closed, _FIELD_SCALE_FLOOR)
 
     lo, hi = 0.0, 2.0 * b_closed
+    if not math.isfinite(hi):
+        raise ValueError("b_field must be finite")
     singlet_lo, singlet_hi = _ground_is_singlet(j_over_kb, g, np.array([lo, hi]))
     if not singlet_lo:
         raise NumericError("bisection bracket failed at B = 0")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, DensityMatrix4, float_or_array
+from .core import Basis, DensityMatrix4, _trusted, float_or_array
 from .errors import DataError
 
 _VALUE_SLACK = 1e-9
@@ -46,10 +46,14 @@ class DiscordValue:
 
 def l1_coherence(rho: DensityMatrix4) -> CoherenceValue:
     """Sum of |rho_ij| over i != j, in the state's declared basis; one value
-    per state of a stack."""
+    per state of a stack.
+
+    A checked state is positive semidefinite, so |rho_ij| <= sqrt(rho_ii
+    rho_jj) puts the sum in [0, 3] and the range is not checked again.
+    """
     mags = np.abs(rho.entries)
     value = mags.sum(axis=(-2, -1)) - np.trace(mags, axis1=-2, axis2=-1)
-    return CoherenceValue(value, rho.basis)
+    return _trusted(CoherenceValue, value=float_or_array(value), basis=rho.basis)
 
 
 def geometric_discord_zero_field(coherence: CoherenceValue) -> DiscordValue:

@@ -25,6 +25,7 @@ from .constants import TOOL_VERSION
 from .core import (
     Basis,
     DimerParams,
+    _trusted,
     build_hamiltonian,
     float_or_array,
     gibbs_state,
@@ -284,7 +285,11 @@ def run_sweep(
         j = pressure_to_j(pressure_table, grid)
     else:
         b = grid
-    params = DimerParams(*np.broadcast_arrays(j, fixed.g, t, b))
+    # SweepSpec checked the held parameters and a finite grid (T > 0 for a
+    # temperature sweep, B >= 0 for a field sweep), and pressure_to_j returns
+    # finite J, so the broadcast batch is not checked element by element.
+    j, g, t, b = np.broadcast_arrays(j, fixed.g, t, b)
+    params = _trusted(DimerParams, j_over_kb=j, g=g, temperature=t, b_field=b)
 
     rho = gibbs_state(build_hamiltonian(params), params.temperature)
     if spec.basis is Basis.SZ:

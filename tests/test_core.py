@@ -130,6 +130,62 @@ def test_gibbs_rejects_nonpositive_temperature():
         gibbs_state(h, 0.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, np.array([1.0, np.nan])])
+def test_gibbs_rejects_non_finite_temperature(t):
+    h = build_hamiltonian(DimerParams(np.array([-2.86, 1.3]), 2.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        gibbs_state(h, t)
+
+
+def test_gibbs_keeps_the_sign_message_for_minus_infinity():
+    h = build_hamiltonian(DimerParams(-2.86, 2.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="temperature must be > 0 K"):
+        gibbs_state(h, -np.inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_matrix_refuses_non_finite_entries(bad):
+    for dtype in (float, complex):
+        rho = (np.eye(4) / 4.0).astype(dtype)
+        rho[1, 2] = bad
+        with pytest.raises(ValueError, match="density matrix entries must be finite"):
+            DensityMatrix4(rho, Basis.SZ)
+        with pytest.raises(ValueError, match="density matrix entries must be finite"):
+            DensityMatrix4(np.stack([np.eye(4) / 4.0, rho]), Basis.SX)
+
+
+def test_hamiltonian_refuses_all_nan_matrix():
+    with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
+        Hamiltonian4(np.full((4, 4), np.nan))
+
+
+def test_hamiltonian_refuses_an_infinite_entry_without_a_warning():
+    # Warnings are errors in this suite, so an `inf - inf` RuntimeWarning
+    # from the symmetry check would fail the test instead of the ValueError.
+    h = np.eye(4)
+    h[0, 0] = np.inf
+    with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
+        Hamiltonian4(h)
+    h = np.eye(4, dtype=complex)
+    h[2, 2] = complex(1.0, np.nan)
+    with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
+        Hamiltonian4(h)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # g mu_B B overflows to inf although B is finite.
+        DimerParams(-2.86, 10.0, 1.0, 1e308),
+        # J and h are finite, but the corner entry -J/4 - h is not.
+        DimerParams(-1.7e308, 2.0, 1.0, 1.7e308 / (2.0 * MU_B_KELVIN_PER_TESLA)),
+    ],
+)
+def test_build_hamiltonian_refuses_entries_that_overflow(params):
+    with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
+        build_hamiltonian(params)
+
+
 def test_density_matrix_validation():
     for dtype in (float, complex):
         with pytest.raises(ValueError, match="unit trace"):
