@@ -157,8 +157,8 @@ def _level_mixture(p: np.ndarray, basis: Basis) -> DensityMatrix4:
     of p, in level_energies order), in the given product basis.
 
     The level states are orthonormal, so the populations are the state's
-    spectrum: every caller's populations are >= 0 and sum to 1 by their
-    construction, and only their finiteness is checked here.
+    spectrum. Every caller's populations are >= 0 (to rounding) and sum to
+    1 by their construction, so only their finiteness is checked here.
     """
     if not np.isfinite(p).all():
         raise ValueError("density matrix entries must be finite")
