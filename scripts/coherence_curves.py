@@ -36,7 +36,7 @@ def main() -> None:
 
     b_c = critical_field(J_AMBIENT, G)
     print(f"critical field: {b_c.tesla:.6f} T = {b_c.oersted:.2f} Oe")
-    print(f"closed form vs bisection: {abs(b_c.tesla - b_c.tesla_bisection):.2e} T")
+    print(f"closed form vs oracle: {abs(b_c.tesla - b_c.tesla_oracle):.2e} T")
 
     # Zero-field temperature scan: C decays from ~0.44 at 2 K.
     spec = SweepSpec(

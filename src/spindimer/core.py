@@ -104,6 +104,17 @@ class DimerParams:
     b_field: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
+        j, g, t, b = self.j_over_kb, self.g, self.temperature, self.b_field
+        # One combined check on the common path, which every CLI request
+        # passes through; the messages are sorted out only on failure.
+        # Fields that are not numbers or do not broadcast together are
+        # checked one by one.
+        try:
+            ok = np.isfinite(j) & np.isfinite(g) & np.isfinite(t) & np.isfinite(b)
+            if (ok & np.greater(g, 0.0) & np.greater(t, 0.0)).all():
+                return
+        except (TypeError, ValueError):
+            pass
         for name in ("j_over_kb", "g", "temperature", "b_field"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")

@@ -6,11 +6,13 @@ in both product bases, the partition function, the longitudinal and
 transverse coherence expressions, and the singlet level-crossing field.
 
 Every closed form is written on the ground-energy-shifted Boltzmann weights
-of the four levels, so every exponent is <= 0 and only the partition
-function itself can overflow. Parameters may be numpy arrays; scalars are
-the 0-d case. Every function here has an independent brute-force
+of the four levels, so every exponent is <= 0 and, of the exponentials,
+only the partition function can overflow. Parameters may be numpy arrays;
+scalars are the 0-d case. Every function here has an independent brute-force
 counterpart in `core`; the test suite holds the two routes together at
-tight tolerances.
+tight tolerances. The critical field is computed both ways on every call:
+its brute-force value is the zero of the singlet - |00> level gap read off
+three batched diagonalizations, and a disagreement raises NumericError.
 """
 
 import math
@@ -46,21 +48,17 @@ from .quantifiers import CoherenceValue
 CORRELATION_NOISE_TOL = 0.02
 _CORRELATION_BAND = (-1.0 - CORRELATION_NOISE_TOL, 1.0 / 3.0 + CORRELATION_NOISE_TOL)
 
-# Critical-field bisection width and route agreement, relative to
+# Critical-field bracket width and route agreement, relative to
 # max(B_c, 100 T): 1e-12 T and 1e-9 T up to 100 T, growing with B_c beyond
-# that so the bisection always stops above the float spacing of B_c.
+# that so the final bracket always stays wider than the float spacing of B_c.
 _FIELD_SCALE_FLOOR = 100.0
-_BISECTION_RTOL = 1e-14
+_BRACKET_RTOL = 1e-14
 _CROSS_CHECK_RTOL = 1e-11
 
 # Level energies are J * _J_COEF + h * _H_COEF, in the order singlet, then
 # triplet m = +1, 0, -1.
 _J_COEF = np.array([0.75, -0.25, -0.25, -0.25])
 _H_COEF = np.array([0.0, -1.0, 0.0, 1.0])
-
-# Sections per round of the critical-field bisection: one batched
-# diagonalization of the 63 inner edges narrows the bracket 64-fold.
-_SECTIONS = 64
 
 # The four level eigenstates as rows, in the order of level_energies, written
 # in the S_z and (rotated by the symmetric _R2) in the S_x product basis.
@@ -116,14 +114,14 @@ class SusceptibilityPoint:
 class CriticalField:
     """Singlet / polarized-triplet level-crossing field.
 
-    `tesla` is the closed-form value |J| k_B / (g mu_B); `tesla_bisection`
-    comes from bisecting the brute-force ground-state identity. The two are
+    `tesla` is the closed-form value |J| k_B / (g mu_B); `tesla_oracle` is
+    the zero of the brute-force singlet - |00> level gap. The two are
     cross-checked at construction time by `critical_field`.
     """
 
     tesla: float
     oersted: float
-    tesla_bisection: float
+    tesla_oracle: float
 
 
 def level_energies(
@@ -175,13 +173,21 @@ def bleaney_bowers_chi(
 
     The factor 1 / (3 + exp(-J/T)) is the zero-field population of the
     m = 0 triplet, taken from the shifted weights, so chi stays finite for
-    any J/T.
+    any J/T. A chi that overflows, through g^2 or through a small T, raises
+    NumericError.
     """
     if np.less_equal(temperature, 0.0).any():
         raise ValueError("temperature must be > 0 K")
     triplet_zero = _shifted_weights(j_over_kb, 0.0, temperature)[2][..., 2]
-    chi = 2.0 * g**2 * CURIE_EMU_K_PER_MOL / temperature * triplet_zero
-    return SusceptibilityPoint(temperature, float_or_array(chi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = 2.0 * np.square(g) * CURIE_EMU_K_PER_MOL / temperature * triplet_zero
+    try:
+        return SusceptibilityPoint(temperature, float_or_array(chi))
+    except ValueError:
+        # From finite inputs chi is >= 0, so it fails only by overflowing.
+        if np.isfinite(j_over_kb) and np.isfinite(g) and np.isfinite(temperature).all():
+            raise NumericError(f"susceptibility overflows at g = {g:g}") from None
+        raise
 
 
 def correlation_values(
@@ -271,25 +277,41 @@ def rho_transverse(params: DimerParams) -> DensityMatrix4:
     return _level_mixture(_populations(params), Basis.SX)
 
 
-def _ground_is_singlet(j_over_kb: float, g: float, b_tesla) -> np.ndarray:
-    """Brute-force ground-state identity used by the bisection route, one
-    answer per field in `b_tesla`. J and g are checked by critical_field,
-    and every field lies in its bracket, which it checks once."""
+def _level_gap(
+    j_over_kb: float, g: float, b_tesla: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brute-force level gap E_S - E_00 in kelvin and whether the singlet is
+    the ground state, one of each per field in the 1-d `b_tesla`, from one
+    batched diagonalization.
+
+    The singlet-like and |00>-like levels are the eigenpairs with the largest
+    squared overlap with SINGLET and with |00>; their energies come from
+    `eigh`. J and g are checked by critical_field, and every field lies in
+    its bracket, which it checks once.
+    """
     params = _trusted(
         DimerParams, j_over_kb=j_over_kb, g=g, temperature=1.0, b_field=b_tesla
     )
-    _, evecs = eigensystem(build_hamiltonian(params))
-    return (evecs[..., :, 0] @ SINGLET) ** 2 > 0.5
+    evals, evecs = eigensystem(build_hamiltonian(params))
+    singlet = (SINGLET @ evecs) ** 2
+    rows = np.arange(len(evals))
+    e_singlet = evals[rows, singlet.argmax(axis=-1)]
+    e_polarized = evals[rows, np.abs(evecs[:, 0, :]).argmax(axis=-1)]
+    return e_singlet - e_polarized, singlet[:, 0] > 0.5
 
 
 def critical_field(j_over_kb: float, g: float) -> CriticalField:
     """Field at which the singlet ground state crosses the polarized |00>.
 
-    Computed twice: closed form |J| k_B / (g mu_B), and bisection on the
-    brute-force ground-state identity over B in [0, 2 B_c], 64 sections per
-    round. The final bracket width and the allowed disagreement are 1e-12 T
-    and 1e-9 T up to B_c = 100 T and grow in proportion to B_c beyond it; a
-    larger disagreement raises NumericError.
+    Computed twice: closed form |J| k_B / (g mu_B), and from the brute-force
+    level gap E_S - E_00, which is linear in B. Three diagonalizations give
+    the oracle value: the bracket [0, 2 B_c] (where the singlet must be the
+    ground state at B = 0 and not at 2 B_c), the gap's zero B* by linear
+    interpolation between the bracket ends, refined by one secant step on the
+    gap at B*, and a check that the ground state changes across a bracket of
+    width w around the result. w is 1e-12 T and the allowed disagreement
+    with the closed form 1e-9 T up to B_c = 100 T; both grow in proportion to
+    B_c beyond it. A larger disagreement raises NumericError.
     """
     # A finite J and g > 0, checked before B_c divides by g.
     DimerParams(j_over_kb, g, temperature=1.0)
@@ -301,21 +323,28 @@ def critical_field(j_over_kb: float, g: float) -> CriticalField:
     lo, hi = 0.0, 2.0 * b_closed
     if not math.isfinite(hi):
         raise ValueError("b_field must be finite")
-    singlet_lo, singlet_hi = _ground_is_singlet(j_over_kb, g, np.array([lo, hi]))
+    (gap_lo, gap_hi), (singlet_lo, singlet_hi) = _level_gap(
+        j_over_kb, g, np.array([lo, hi])
+    )
     if not singlet_lo:
-        raise NumericError("bisection bracket failed at B = 0")
+        raise NumericError("critical-field bracket failed at B = 0")
     if singlet_hi:
         raise NumericError(f"no ground-state crossing below {hi!r} T")
-    while hi - lo > _BISECTION_RTOL * scale:
-        edges = np.linspace(lo, hi, _SECTIONS + 1)
-        singlet = _ground_is_singlet(j_over_kb, g, edges[1:-1])
-        k = int(np.argmin(np.append(singlet, False)))  # first probe past the crossing
-        lo, hi = float(edges[k]), float(edges[k + 1])
-    b_bisect = 0.5 * (lo + hi)
 
-    if abs(b_bisect - b_closed) > _CROSS_CHECK_RTOL * scale:
+    slope = (gap_hi - gap_lo) / hi
+    b_star = min(max(-gap_lo / slope, lo), hi)
+    (gap_star,), _ = _level_gap(j_over_kb, g, np.array([b_star]))
+    b_oracle = float(b_star - gap_star / slope)
+
+    half = 0.5 * _BRACKET_RTOL * scale
+    probes = np.array([max(b_oracle - half, lo), min(b_oracle + half, hi)])
+    _, (singlet_below, singlet_above) = _level_gap(j_over_kb, g, probes)
+    if not singlet_below or singlet_above:
+        raise NumericError(f"ground state does not change across {b_oracle!r} T")
+
+    if abs(b_oracle - b_closed) > _CROSS_CHECK_RTOL * scale:
         raise NumericError(
             f"critical-field routes disagree: closed form {b_closed!r} T, "
-            f"bisection {b_bisect!r} T"
+            f"oracle {b_oracle!r} T"
         )
-    return CriticalField(b_closed, b_closed * OERSTED_PER_TESLA, b_bisect)
+    return CriticalField(b_closed, b_closed * OERSTED_PER_TESLA, b_oracle)

@@ -60,7 +60,7 @@ def test_criterion_1_critical_field_cli():
     b_c_oe = float(oe_line.split("=")[1].split()[0])
     rel = abs(b_c_oe - 21279.0) / 21279.0
     routes = critical_field(J_REF, G_REF)
-    gap = abs(routes.tesla - routes.tesla_bisection)
+    gap = abs(routes.tesla - routes.tesla_oracle)
     ok = proc.returncode == 0 and rel < 1e-3 and gap < 1e-9 and elapsed < 1.0
     _report(
         1,

@@ -155,6 +155,14 @@ def test_fit_unconverged_exit_4(tmp_path, monkeypatch, capsys):
     assert "converge" in capsys.readouterr().err
 
 
+def test_fit_overflowing_g_exit_4(tmp_path, capsys):
+    csv = write_series_csv(tmp_path / "sample.csv")
+    code = main(["fit", str(csv), "--init-j", "-2", "--init-g", "1e160"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "error: susceptibility overflows at g = 1e+160\n"
+
+
 @pytest.mark.parametrize("stem", ["a\nb", "a\x1cb", "a\u2028b"])
 def test_fit_refuses_a_sample_id_with_a_line_break(tmp_path, capsys, stem):
     csv = write_series_csv(tmp_path / f"{stem}.csv")

@@ -1,5 +1,7 @@
 """Brute-force layer: Hamiltonians, thermal states, basis rotations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +45,50 @@ def test_params_validation():
         DimerParams(-2.86, g=0.0, temperature=1.0)
     with pytest.raises(ValueError):
         DimerParams(float("nan"), 2.0, temperature=1.0)
+
+
+GOOD_PARAMS = {"j_over_kb": -2.86, "g": 2.0, "temperature": 1.0, "b_field": 0.5}
+BAD_PARAMS = {
+    "j_over_kb": [np.nan, np.inf],
+    "g": [np.nan, -np.inf, 0.0, -1.0],
+    "temperature": [np.nan, np.inf, 0.0, -1.0],
+    "b_field": [np.nan, -np.inf],
+}
+BAD_PARAM_CASES = [((n, v),) for n in BAD_PARAMS for v in BAD_PARAMS[n]] + [
+    ((a, va), (b, vb))
+    for a, b in itertools.combinations(BAD_PARAMS, 2)
+    for va in BAD_PARAMS[a]
+    for vb in BAD_PARAMS[b]
+]
+
+
+def first_params_failure(fields):
+    """The message DimerParams gives: the first non-finite field in
+    declaration order, then a temperature <= 0, then a g <= 0."""
+    for name in GOOD_PARAMS:
+        if not np.isfinite(fields[name]).all():
+            return f"{name} must be finite"
+    if np.less_equal(fields["temperature"], 0.0).any():
+        return "temperature must be > 0 K"
+    return "g must be > 0"
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("bad", BAD_PARAM_CASES, ids=str)
+def test_params_report_the_first_failing_check(bad, as_array):
+    fields = dict(GOOD_PARAMS)
+    for name, value in bad:
+        fields[name] = np.array([GOOD_PARAMS[name], value]) if as_array else value
+    with pytest.raises(ValueError) as exc:
+        DimerParams(**fields)
+    assert str(exc.value) == first_params_failure(fields)
+
+
+def test_params_accept_valid_fields_that_do_not_broadcast():
+    p = DimerParams(np.full(2, -2.86), 2.0, np.ones(3))
+    assert np.shape(p.temperature) == (3,)
+    with pytest.raises(ValueError, match="temperature must be > 0 K"):
+        DimerParams(np.full(2, -2.86), 2.0, np.array([1.0, 0.0, 1.0]))
 
 
 def test_zeeman_scale_matches_pinned_constants():

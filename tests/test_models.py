@@ -97,7 +97,7 @@ def test_critical_field_frozen_values():
     bc = critical_field(J_REF, G_REF)
     assert bc.tesla == pytest.approx(2.1288828169592735, rel=1e-12)
     assert bc.oersted == pytest.approx(21288.828169592736, rel=1e-12)
-    assert abs(bc.tesla_bisection - bc.tesla) <= 1e-9
+    assert abs(bc.tesla_oracle - bc.tesla) <= 1e-9
     assert critical_field(-1.0, 2.0).tesla == pytest.approx(
         0.7443646213144314, rel=1e-12
     )
@@ -344,7 +344,7 @@ def test_critical_field_beyond_100_tesla(j):
     bc = critical_field(j, G_REF)
     assert bc.tesla == -j / (G_REF * MU_B_KELVIN_PER_TESLA)
     assert bc.tesla > 100.0
-    assert abs(bc.tesla_bisection - bc.tesla) <= 1e-11 * bc.tesla
+    assert abs(bc.tesla_oracle - bc.tesla) <= 1e-11 * bc.tesla
 
 
 @pytest.mark.parametrize("j", [J_REF, -300.0])
@@ -358,10 +358,9 @@ def test_critical_field_checks_its_bracket_in_one_diagonalization(monkeypatch, j
 
     monkeypatch.setattr(models, "eigensystem", counting_eigensystem)
     assert critical_field(j, G_REF) == expected
-    # One call for both bracket ends, then one per bisection round.
-    assert batches[0] == (2,)
-    assert all(shape == (models._SECTIONS - 1,) for shape in batches[1:])
-    assert len(batches) >= 2
+    # Both bracket ends, then the interpolated zero of the level gap, then
+    # the two fields on either side of the result.
+    assert batches == [(2,), (1,), (2,)]
 
 
 @pytest.mark.parametrize(
@@ -374,6 +373,70 @@ def test_critical_field_checks_its_bracket_in_one_diagonalization(monkeypatch, j
 def test_critical_field_bracket_errors_survive_the_joint_check(
     monkeypatch, ends, message
 ):
-    monkeypatch.setattr(models, "_ground_is_singlet", lambda j, g, b: np.array(ends))
+    monkeypatch.setattr(
+        models, "_level_gap", lambda j, g, b: (np.array([j, -j]), np.array(ends))
+    )
     with pytest.raises(NumericError, match=message):
         critical_field(J_REF, G_REF)
+
+
+# The oracle's critical field may differ from the closed form by rounding
+# only: this many units in the last place of B_c.
+ORACLE_ULPS = 4
+
+
+def assert_within_ulps(bc):
+    assert abs(bc.tesla_oracle - bc.tesla) <= ORACLE_ULPS * np.spacing(bc.tesla)
+
+
+@pytest.mark.parametrize(
+    "j", [-1e-300, -1e-20, -1e-12, -1e-4, J_REF, -300.0, -1e4, -1e300]
+)
+def test_critical_field_oracle_agrees_to_rounding_over_all_scales(j):
+    bc = critical_field(j, G_REF)
+    assert bc.tesla == -j / (G_REF * MU_B_KELVIN_PER_TESLA)
+    assert_within_ulps(bc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_j=st.floats(-6.0, 6.0), g=st.floats(0.5, 5.0))
+def test_critical_field_oracle_agrees_to_rounding(log_j, g):
+    assert_within_ulps(critical_field(-(10.0**log_j), g))
+
+
+def test_critical_field_oracle_refuses_a_field_that_does_not_flip_the_ground_state(
+    monkeypatch,
+):
+    # A gap shifted so that its zero lies at B_c / 2: the singlet is the
+    # ground state on both sides of that zero, so it must not be reported.
+    real = models._level_gap
+
+    def shifted_gap(j, g, b):
+        gap, singlet_ground = real(j, g, b)
+        return gap - j / 2.0, singlet_ground
+
+    monkeypatch.setattr(models, "_level_gap", shifted_gap)
+    with pytest.raises(NumericError, match="ground state does not change"):
+        critical_field(J_REF, G_REF)
+
+
+@pytest.mark.parametrize(
+    "g, t", [(1e160, 5.0), (1e160, np.array([2.0, 5.0])), (1e150, 1e-300)]
+)
+def test_bleaney_bowers_chi_overflow_is_a_numeric_error(g, t):
+    with pytest.raises(NumericError, match="susceptibility overflows"):
+        bleaney_bowers_chi(J_REF, g, t)
+
+
+@pytest.mark.parametrize(
+    "j, g, t",
+    [
+        (np.nan, 2.0, 5.0),
+        (J_REF, np.inf, 5.0),
+        (J_REF, 2.0, np.nan),
+        (J_REF, 2.0, np.inf),
+    ],
+)
+def test_bleaney_bowers_chi_non_finite_inputs_keep_their_message(j, g, t):
+    with pytest.raises(ValueError, match="susceptibility point must be finite"):
+        bleaney_bowers_chi(j, g, t)
