@@ -26,8 +26,6 @@ from .models import (
     coherence_transverse,
     critical_field,
     partition_function,
-    rho_longitudinal,
-    rho_transverse,
     rho_zero_field,
 )
 from .fitting import (
@@ -93,8 +91,6 @@ __all__ = [
     "read_table_csv",
     "read_table_json",
     "render_table",
-    "rho_longitudinal",
-    "rho_transverse",
     "rho_zero_field",
     "rotate_to_sx",
     "run_sweep",

@@ -205,15 +205,10 @@ def build_hamiltonian(params: DimerParams) -> Hamiltonian4:
 
 
 def eigensystem(h: Hamiltonian4) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (as columns).
-
-    Signs are fixed deterministically: the largest-magnitude component of
-    each eigenvector is made positive.
-    """
-    evals, evecs = np.linalg.eigh(h.entries)
-    lead = np.argmax(np.abs(evecs), axis=-2)[..., None, :]
-    flip = np.take_along_axis(evecs, lead, axis=-2) < 0.0
-    return evals, np.where(flip, -evecs, evecs)
+    """Eigenvalues (ascending) and orthonormal eigenvectors (as columns), as
+    `np.linalg.eigh` returns them: each eigenvector's sign is whatever LAPACK
+    gives, so callers use only squared or absolute components."""
+    return np.linalg.eigh(h.entries)
 
 
 def gibbs_state(h: Hamiltonian4, temperature: float | np.ndarray) -> DensityMatrix4:

@@ -115,12 +115,18 @@ def _bb_jacobian(t: np.ndarray, j: float, g: float) -> np.ndarray:
     Uses e/(3+e)^2 = u - 3u^2 with u = 1/(3+e), which stays finite when
     the Boltzmann factor overflows to inf.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         e = np.exp(-j / t)
-    u = 1.0 / (3.0 + e)
-    dj = 2.0 * CURIE_EMU_K_PER_MOL * g * g * (u - 3.0 * u * u) / (t * t)
-    dg = 4.0 * CURIE_EMU_K_PER_MOL * g * u / t
+        u = 1.0 / (3.0 + e)
+        dj = 2.0 * CURIE_EMU_K_PER_MOL * g * g * (u - 3.0 * u * u) / (t * t)
+        dg = 4.0 * CURIE_EMU_K_PER_MOL * g * u / t
     return np.column_stack([dj, dg])
+
+
+def _rss(residual: np.ndarray) -> float:
+    """Sum of squared residuals, inf where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(residual @ residual)
 
 
 def _default_init(t0: float, chi0: float) -> tuple[float, float]:
@@ -162,7 +168,9 @@ def fit_bleaney_bowers(
     # the current one when the step is taken.
     lam = _LAMBDA_INIT
     residual = residual_at(j, g)
-    rss = float(residual @ residual)
+    rss = _rss(residual)
+    if not math.isfinite(rss):
+        raise NumericError("degenerate fit")
     trace = [rss]
     iterations = 0
     converged = False
@@ -171,12 +179,14 @@ def fit_bleaney_bowers(
     while iterations < MAX_ITERATIONS:
         iterations += 1
         jac = _bb_jacobian(t, j, g)
-        jtj = jac.T @ jac
+        with np.errstate(over="ignore", invalid="ignore"):
+            jtj, grad = jac.T @ jac, jac.T @ residual
         # Both model derivatives vanish at g = 0, so the gradient is zero
         # there without being a minimum; that must not read as convergence.
-        if not np.all(np.diag(jtj) > 0.0):
+        # An overflowing Jacobian or residual leaves no usable step either.
+        finite = np.isfinite(jtj).all() and np.isfinite(grad).all()
+        if not (finite and np.all(np.diag(jtj) > 0.0)):
             raise NumericError("degenerate fit")
-        grad = jac.T @ residual
         if float(np.abs(grad).max()) < GRADIENT_TOL:
             converged = True
             break
@@ -189,7 +199,7 @@ def fit_bleaney_bowers(
             raise NumericError("degenerate fit")
         j_new, g_new = j + float(step[0]), g + float(step[1])
         residual_new = residual_at(j_new, g_new)
-        rss_new = float(residual_new @ residual_new)
+        rss_new = _rss(residual_new)
         rel_step = float(np.abs(step).max()) / max(1e-30, abs(j_new), abs(g_new))
         if math.isfinite(rss_new) and rss_new < rss:
             j, g, rss, residual = j_new, g_new, rss_new, residual_new

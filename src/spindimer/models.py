@@ -1,9 +1,9 @@
 """Closed-form thermodynamics and coherence of the spin-1/2 dimer.
 
 Dimer susceptibility (Bleaney-Bowers), the susceptibility -> correlation ->
-coherence pipeline at zero field, the field-dressed thermal density matrices
-in both product bases, the partition function, the longitudinal and
-transverse coherence expressions, and the singlet level-crossing field.
+coherence pipeline at zero field with its thermal state, the partition
+function, the longitudinal and transverse coherence expressions, and the
+singlet level-crossing field.
 
 Every closed form is written on the ground-energy-shifted Boltzmann weights
 of the four levels, so every exponent is <= 0 and, of the exponentials,
@@ -12,7 +12,7 @@ scalars are the 0-d case. Every function here has an independent brute-force
 counterpart in `core`; the test suite holds the two routes together at
 tight tolerances. The critical field is computed both ways on every call:
 its brute-force value is the zero of the singlet - |00> level gap read off
-three batched diagonalizations, and a disagreement raises NumericError.
+two batched diagonalizations, and a disagreement raises NumericError.
 """
 
 import math
@@ -28,7 +28,6 @@ from .constants import (
     SI_M3_PER_EMU,
 )
 from .core import (
-    _R2,
     SINGLET,
     TRIPLET_ZERO,
     Basis,
@@ -60,10 +59,9 @@ _CROSS_CHECK_RTOL = 1e-11
 _J_COEF = np.array([0.75, -0.25, -0.25, -0.25])
 _H_COEF = np.array([0.0, -1.0, 0.0, 1.0])
 
-# The four level eigenstates as rows, in the order of level_energies, written
-# in the S_z and (rotated by the symmetric _R2) in the S_x product basis.
+# The four level eigenstates as rows, in the order of level_energies, in the
+# S_z product basis.
 _SZ_STATES = np.array([SINGLET, np.eye(4)[0], TRIPLET_ZERO, np.eye(4)[3]])
-_LEVEL_STATES = {Basis.SZ: _SZ_STATES, Basis.SX: _SZ_STATES @ _R2}
 
 
 class ChiUnit(Enum):
@@ -150,21 +148,6 @@ def _populations(p: DimerParams) -> np.ndarray:
     return _shifted_weights(p.j_over_kb, p.zeeman_kelvin, p.temperature)[2]
 
 
-def _level_mixture(p: np.ndarray, basis: Basis) -> DensityMatrix4:
-    """sum_k p_k |k><k| over the four levels (populations on the last axis
-    of p, in level_energies order), in the given product basis.
-
-    The level states are orthonormal, so the populations are the state's
-    spectrum. Every caller's populations are >= 0 (to rounding) and sum to
-    1 by their construction, so only their finiteness is checked here.
-    """
-    if not np.isfinite(p).all():
-        raise ValueError("density matrix entries must be finite")
-    states = _LEVEL_STATES[basis]
-    rho = np.einsum("...k,ki,kj->...ij", p, states, states)
-    return _trusted(DensityMatrix4, entries=rho, basis=basis)
-
-
 def bleaney_bowers_chi(
     j_over_kb: float, g: float, temperature: float | np.ndarray
 ) -> SusceptibilityPoint:
@@ -207,16 +190,19 @@ def rho_zero_field(c: float | np.ndarray) -> DensityMatrix4:
 
     Diagonal (1+c, 1-c, 1-c, 1+c)/4 with +-c/2 mixing the central block;
     positivity requires c in [-1, 1/3]. An array of c gives a stack of
-    states; the first c outside that range is named in the error.
+    states; the first c outside that range, NaN and inf included, is named
+    in the error.
     """
     cv = np.asarray(c, dtype=float)
     positive = (-1.0 - 1e-12 <= cv) & (cv <= 1.0 / 3.0 + 1e-12)
     if not np.all(positive):
         bad = np.extract(~positive, cv)[0]
         raise DataError(f"nonpositive state: correlation {bad:.6g}")
-    # Singlet population (1 - 3c)/4, each triplet level (1 + c)/4.
+    # Singlet population (1 - 3c)/4, each triplet level (1 + c)/4. The level
+    # states are orthonormal, so these populations are the state's spectrum.
     p = np.stack([1.0 - 3.0 * cv, 1.0 + cv, 1.0 + cv, 1.0 + cv], axis=-1) / 4.0
-    return _level_mixture(p, Basis.SZ)
+    rho = np.einsum("...k,ki,kj->...ij", p, _SZ_STATES, _SZ_STATES)
+    return _trusted(DensityMatrix4, entries=rho, basis=Basis.SZ)
 
 
 def coherence_from_chi(point: SusceptibilityPoint, g: float) -> CoherenceValue:
@@ -267,16 +253,6 @@ def coherence_transverse(params: DimerParams) -> CoherenceValue:
     return CoherenceValue(value, Basis.SX)
 
 
-def rho_longitudinal(params: DimerParams) -> DensityMatrix4:
-    """Field-dressed thermal state in the S_z product basis (X-shaped)."""
-    return _level_mixture(_populations(params), Basis.SZ)
-
-
-def rho_transverse(params: DimerParams) -> DensityMatrix4:
-    """Field-dressed thermal state re-expressed in the S_x product basis."""
-    return _level_mixture(_populations(params), Basis.SX)
-
-
 def _level_gap(
     j_over_kb: float, g: float, b_tesla: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -304,14 +280,14 @@ def critical_field(j_over_kb: float, g: float) -> CriticalField:
     """Field at which the singlet ground state crosses the polarized |00>.
 
     Computed twice: closed form |J| k_B / (g mu_B), and from the brute-force
-    level gap E_S - E_00, which is linear in B. Three diagonalizations give
-    the oracle value: the bracket [0, 2 B_c] (where the singlet must be the
-    ground state at B = 0 and not at 2 B_c), the gap's zero B* by linear
-    interpolation between the bracket ends, refined by one secant step on the
-    gap at B*, and a check that the ground state changes across a bracket of
-    width w around the result. w is 1e-12 T and the allowed disagreement
-    with the closed form 1e-9 T up to B_c = 100 T; both grow in proportion to
-    B_c beyond it. A larger disagreement raises NumericError.
+    level gap E_S - E_00, which is linear in B. Two diagonalizations give
+    the oracle value. The first is at the bracket ends 0 and 2 B_c: the
+    singlet must be the ground state at B = 0 and not at 2 B_c, and the
+    zero of the line through the two gaps, clamped to the bracket, is the
+    oracle value. The second is at two fields a width w apart around it,
+    across which the ground state must change. w is 1e-12 T and the allowed
+    disagreement with the closed form 1e-9 T up to B_c = 100 T; both grow in
+    proportion to B_c beyond it. A larger disagreement raises NumericError.
     """
     # A finite J and g > 0, checked before B_c divides by g.
     DimerParams(j_over_kb, g, temperature=1.0)
@@ -332,9 +308,7 @@ def critical_field(j_over_kb: float, g: float) -> CriticalField:
         raise NumericError(f"no ground-state crossing below {hi!r} T")
 
     slope = (gap_hi - gap_lo) / hi
-    b_star = min(max(-gap_lo / slope, lo), hi)
-    (gap_star,), _ = _level_gap(j_over_kb, g, np.array([b_star]))
-    b_oracle = float(b_star - gap_star / slope)
+    b_oracle = float(min(max(-gap_lo / slope, lo), hi))
 
     half = 0.5 * _BRACKET_RTOL * scale
     probes = np.array([max(b_oracle - half, lo), min(b_oracle + half, hi)])

@@ -133,7 +133,9 @@ class PressureTable:
     def from_csv(cls, path: str | Path) -> "PressureTable":
         """Load `P_GPa,J_kelvin` rows; same dialect as the ingest contract."""
         _, rows = _read_two_column_csv(path, "P_GPa,J_kelvin")
-        pressures, j_values = np.array(rows, dtype=float).reshape(-1, 2).T
+        if len(rows) < 2:
+            raise DataError(f"need at least 2 rows to interpolate, got {len(rows)}")
+        pressures, j_values = np.array(rows, dtype=float).T
         return cls(pressures, j_values, source=str(path))
 
 

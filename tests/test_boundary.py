@@ -25,11 +25,10 @@ from spindimer import (
     critical_field,
     gibbs_state,
     l1_coherence,
-    rho_longitudinal,
+    rho_zero_field,
     rotate_to_sx,
     run_sweep,
 )
-from spindimer.models import _level_mixture, _populations
 
 
 @st.composite
@@ -55,16 +54,18 @@ def _accepted_again(rho: DensityMatrix4) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(params_over_the_box())
-def test_every_builder_output_passes_its_public_constructor(params):
+@given(
+    params_over_the_box(),
+    st.lists(st.floats(-1.0, 1.0 / 3.0), min_size=1, max_size=6),
+)
+def test_every_builder_output_passes_its_public_constructor(params, cs):
     h = build_hamiltonian(params)
     assert np.array_equal(Hamiltonian4(h.entries).entries, h.entries)
     assert not h.entries.flags.writeable
 
     rho_z = gibbs_state(h, params.temperature)
     rho_x = rotate_to_sx(rho_z)
-    states = [rho_z, rho_x]
-    states += [_level_mixture(_populations(params), b) for b in (Basis.SZ, Basis.SX)]
+    states = [rho_z, rho_x, rho_zero_field(cs[0]), rho_zero_field(np.array(cs))]
     for rho in states:
         _accepted_again(rho)
         c = l1_coherence(rho)
@@ -156,11 +157,3 @@ def test_critical_field_checks_its_bracket_before_the_rounds():
     # The bracket is finite, but g mu_B B at its top end is not.
     with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
         critical_field(-1e308, 2.0)
-
-
-def test_level_mixture_refuses_non_finite_populations():
-    # g mu_B B overflows, so the closed-form populations are NaN.
-    params = DimerParams(-2.86, 10.0, 1.0, 1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="density matrix entries must be finite"):
-            rho_longitudinal(params)

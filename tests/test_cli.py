@@ -1,6 +1,7 @@
 """Exit-code contract and output plumbing of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ def test_fit_overflowing_g_exit_4(tmp_path, capsys):
     assert err == "error: susceptibility overflows at g = 1e+160\n"
 
 
+@pytest.mark.parametrize("init_g", ["1e140", "1e150"])
+def test_fit_overflowing_products_exit_4_on_one_line(capsys, init_g):
+    # chi is finite at this g, but rss and the normal equations overflow.
+    csv = Path(__file__).parent / "data" / "chi_stall_317.csv"
+    code = main(["fit", str(csv), "--init-j", "-2", "--init-g", init_g])
+    assert code == 4
+    assert capsys.readouterr().err == "error: degenerate fit\n"
+
+
 @pytest.mark.parametrize("stem", ["a\nb", "a\x1cb", "a\u2028b"])
 def test_fit_refuses_a_sample_id_with_a_line_break(tmp_path, capsys, stem):
     csv = write_series_csv(tmp_path / f"{stem}.csv")
@@ -195,6 +205,21 @@ def test_pressure_sweep_undecodable_table_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "cannot decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["", "0.0,-2.86\n"])
+def test_pressure_sweep_short_table_exit_3(tmp_path, capsys, rows):
+    jp = tmp_path / "jp.csv"
+    jp.write_text("P_GPa,J_kelvin\n" + rows)
+    code = main(
+        ["sweep", "pressure", "--p-min", "0", "--p-max", "10", "--p-steps", "5",
+         "--pressure-table", str(jp), "--t-kelvin", "2.0"]
+    )
+    assert code == 3
+    n = rows.count("\n")
+    assert capsys.readouterr().err == (
+        f"error: need at least 2 rows to interpolate, got {n}\n"
+    )
 
 
 def test_pressure_sweep_end_to_end(tmp_path):

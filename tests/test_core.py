@@ -135,12 +135,13 @@ def test_eigensystem_diagonal_identity_vectors():
     np.testing.assert_allclose(evecs, np.eye(4), atol=0.0)
 
 
-def test_eigensystem_deterministic_signs():
-    h = build_hamiltonian(DimerParams(-2.86, 2.0, 1.0, 0.3))
-    _, evecs = eigensystem(h)
-    for k in range(4):
-        lead = np.argmax(np.abs(evecs[:, k]))
-        assert evecs[lead, k] > 0.0
+def test_eigensystem_of_a_stack_is_eigh():
+    params = DimerParams(-2.86, 2.0, 1.0, np.linspace(0.0, 5.0, 7))
+    h = build_hamiltonian(params)
+    evals, evecs = eigensystem(h)
+    expected_evals, expected_evecs = np.linalg.eigh(h.entries)
+    assert np.array_equal(evals, expected_evals)
+    assert np.array_equal(evecs, expected_evecs)
 
 
 def test_gibbs_zero_hamiltonian_is_maximally_mixed():

@@ -21,7 +21,15 @@ from spindimer import (
 from spindimer.constants import CURIE_EMU_K_PER_MOL
 from spindimer.models import correlation_values
 
-REMOVED = ("CorrelationValue", "correlation_from_chi", "rotate_to_sz")
+REMOVED = (
+    "CorrelationValue",
+    "correlation_from_chi",
+    "rotate_to_sz",
+    "rho_longitudinal",
+    "rho_transverse",
+    "_level_mixture",
+    "_LEVEL_STATES",
+)
 
 # The chi pipeline takes molar chi and nothing else: every parameter left
 # is one a program sets.
