@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -171,8 +172,24 @@ def _add_fixed_field_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--b-oe", type=float, help="held field in oersted")
 
 
+# argparse reads an argument that starts with "-" as a value only when it
+# looks like -1 or -1.5, so `--j-kelvin -2.5e3` would find an unknown option
+# where its value should be. This pattern also takes the exponent form.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any finite negative float as a value.
+    Subparsers are built with the class of their parent, so the whole tree
+    shares the rule."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spindimer",
         description="Thermal coherence of a spin-1/2 dimer: sweeps and fits.",
     )
@@ -239,16 +256,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _leaf_parsers(
+    parser: argparse.ArgumentParser, words: tuple[str, ...] = ()
+) -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """The parsers at the leaves of `parser`'s tree, keyed by the command
+    words that select them, such as ("sweep", "temp") or ("fit",)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {
+                key: leaf
+                for name, sub in action.choices.items()
+                for key, leaf in _leaf_parsers(sub, (*words, name)).items()
+            }
+    return {words: parser}
+
+
 # Built by the first `main` call and reused by every later one: building
-# the tree costs more than most requests, and `parse_args` leaves it as it was.
+# the tree costs more than most requests, and parsing leaves it as it was.
+# A request whose command words select a leaf is parsed by that leaf alone,
+# which is what the full tree would hand it to; everything else, and any
+# request the leaf leaves arguments over from, goes through the full tree,
+# so usage errors read as they always did.
 _parser: argparse.ArgumentParser | None = None
+_leaves: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    for key in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = _leaves.get(key)
+        if leaf is None:
+            continue
+        args, extras = leaf.parse_known_args(argv[len(key):])
+        if extras:
+            break
+        args.command = key[0]
+        if len(key) == 2:
+            args.sweep_variable = key[1]
+        return args
+    return _parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
+    global _parser, _leaves
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+        _leaves = _leaf_parsers(_parser)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except DataError as exc:

@@ -33,10 +33,11 @@ from .core import (
 )
 from .errors import DataError, NumericError
 from .models import (
-    coherence_longitudinal,
-    coherence_transverse,
-    level_energies,
-    partition_function,
+    ThermalLevels,
+    longitudinal_l1,
+    partition_from_levels,
+    thermal_levels,
+    transverse_l1,
 )
 from .quantifiers import l1_coherence
 
@@ -253,11 +254,10 @@ class SweepTable:
         return self.values[:, self.column_names.index(name)]
 
 
-def _ground_state_labels(params: DimerParams) -> tuple[str, ...]:
+def _ground_state_labels(levels: ThermalLevels) -> tuple[str, ...]:
     """Name the lowest level(s) of each row; exact ties join with '+'."""
-    levels = level_energies(params.j_over_kb, params.zeeman_kelvin)
-    e_min = levels.min(axis=-1, keepdims=True)
-    tied = levels <= e_min + 1e-12 * np.maximum(1.0, np.abs(e_min))
+    e_min = levels.e0[..., None]
+    tied = levels.energies <= e_min + 1e-12 * np.maximum(1.0, np.abs(e_min))
     return tuple(_GROUND_LABELS[(tied << np.arange(4)).sum(axis=-1)].tolist())
 
 
@@ -294,10 +294,13 @@ def run_sweep(
     params = _trusted(DimerParams, j_over_kb=j, g=g, temperature=t, b_field=b)
 
     rho = gibbs_state(build_hamiltonian(params), params.temperature)
+    # One pass over the levels gives the closed-form coherence, Z and the
+    # ground-state labels.
+    levels = thermal_levels(j, params.zeeman_kelvin, t)
     if spec.basis is Basis.SZ:
-        closed = coherence_longitudinal(params).value
+        closed = longitudinal_l1(levels.populations)
     else:
-        closed = coherence_transverse(params).value
+        closed = transverse_l1(levels.populations)
         rho = rotate_to_sx(rho)
     oracle = l1_coherence(rho).value
     disagree = np.abs(closed - oracle) > ORACLE_ATOL
@@ -307,13 +310,13 @@ def run_sweep(
             f"closed form and oracle disagree at {swept_name}={float(grid[i])!r}: "
             f"{float(closed[i])!r} vs {float(oracle[i])!r}"
         )
-    z = partition_function(params)
+    z = partition_from_levels(levels, t)
 
     # Saturated values can land a few ulp past the exact bound of 3;
     # clamp after the agreement check so emitted tables stay physical.
     names = [swept_name, c_name, "C_oracle", "Z"]
     data = [grid, np.clip(closed, 0.0, 3.0), np.clip(oracle, 0.0, 3.0), z]
-    annotations = {"ground_state": _ground_state_labels(params)}
+    annotations = {"ground_state": _ground_state_labels(levels)}
     if is_pressure:
         names.insert(1, "J_kelvin")
         data.insert(1, j)

@@ -1,12 +1,22 @@
 """Exit-code contract and output plumbing of the command-line interface."""
 
+import argparse
+import io
 import json
+import random
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spindimer import bleaney_bowers_chi, read_table_csv, read_table_json
+from spindimer import (
+    bleaney_bowers_chi,
+    critical_field,
+    read_table_csv,
+    read_table_json,
+)
 from spindimer.cli import OUT_DIR_ENV, main
 import spindimer.cli as cli
 import spindimer.fitting as fitting
@@ -310,3 +320,171 @@ def test_usage_error_and_version_leave_the_parser_as_it_was(monkeypatch, capsys)
     capsys.readouterr()
     assert main(TEMP_SWEEP + ["--format", "json"]) == 0
     assert _table_text(capsys) == before
+
+
+# --- negative numbers in exponent form --------------------------------------
+
+@pytest.mark.parametrize("value", ["-2.5e3", "-1e-05", "-2.5E+3", "-.5e1"])
+def test_negative_exponent_parses_as_a_value(capsys, value):
+    assert main(["critical-field", "--j-kelvin", value]) == 0
+    spaced = capsys.readouterr()
+    assert main(["critical-field", f"--j-kelvin={value}"]) == 0
+    assert capsys.readouterr() == spaced
+    assert f"B_c = {critical_field(float(value), 2.0).tesla!r} T" in spaced.out
+
+
+SWEEP_NEGATIVE_J = ["sweep", "temp", "--t-min", "1e3", "--t-max", "2e3",
+                    "--t-steps", "3", "--j-kelvin", "-2.5e3"]
+
+
+def test_negative_exponent_parses_through_the_full_tree(monkeypatch, capsys):
+    _fresh_parser(monkeypatch)
+    assert main(SWEEP_NEGATIVE_J) == 0
+    leaf = _table_text(capsys)
+    monkeypatch.setattr(cli, "_leaves", {})
+    assert main(SWEEP_NEGATIVE_J) == 0
+    assert _table_text(capsys) == leaf
+    assert "# j_over_kb = -2500.0" in leaf
+
+
+def test_negative_exponent_before_an_unknown_flag_reports_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(SWEEP_NEGATIVE_J + ["--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spindimer [-h] [--version]")
+    assert err.endswith("spindimer: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [["-2.5e3"], ["sweep", "-2.5e3"]])
+def test_negative_exponent_is_a_value_above_the_leaves(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert "invalid choice: '-2.5e3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, number",
+    [("-1", True), ("-1.5", True), ("-.5", True), ("-1.", True), ("-1e-05", True),
+     ("-2.5E+3", True), ("-1.e5", True), ("-e5", False), ("-1e", False),
+     ("-1e+", False), ("-inf", False), ("-nan", False), ("--1", False),
+     ("-1.5.2", False), ("-x", False)],
+)
+def test_negative_number_pattern(text, number):
+    assert bool(cli._NEGATIVE_NUMBER.match(text)) is number
+
+
+def test_argparse_still_reads_the_negative_number_matcher():
+    # `_Parser` replaces this private attribute; if argparse dropped it, the
+    # replacement would be ignored and exponents would read as options again.
+    assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
+
+
+# --- parsing at the leaf ----------------------------------------------------
+
+def test_leaf_parsers_come_from_the_one_tree():
+    parser = cli.build_parser()
+    leaves = cli._leaf_parsers(parser)
+    assert sorted(leaves) == [
+        ("critical-field",), ("fit",), ("sweep", "field"), ("sweep", "pressure"),
+        ("sweep", "temp"),
+    ]
+    for words, leaf in leaves.items():
+        assert leaf.prog == " ".join(["spindimer", *words])
+
+
+def _base_argvs(tmp_path):
+    csv = write_series_csv(tmp_path / "sample.csv")
+    table = tmp_path / "jp.csv"
+    table.write_text("P_GPa,J_kelvin\n0.0,-2.86\n10.0,1.0\n")
+    return [
+        ["sweep", "temp", "--t-min", "0.5", "--t-max", "20", "--t-steps", "4",
+         "--j-kelvin", "-2.86", "--g", "2.1", "--basis", "x", "--b-tesla", "0.5",
+         "--format", "json"],
+        ["sweep", "temp", "--t-min", "1e-3", "--t-max", "2", "--t-steps", "3",
+         "--j-kelvin", "-1e-05", "--b-oe", "1e4"],
+        ["sweep", "field", "--b-min", "0", "--b-max", "5e4", "--b-steps", "4",
+         "--field-unit", "oe", "--t-kelvin", "0.5", "--j-kelvin", "-2.5E+1",
+         "--basis", "x"],
+        ["sweep", "pressure", "--p-min", "0", "--p-max", "10", "--p-steps", "5",
+         "--pressure-table", str(table), "--t-kelvin", "2.0", "--b-tesla", "1",
+         "--format", "csv"],
+        ["fit", str(csv), "--unit", "emu", "--init-j", "-2", "--init-g", "2.1"],
+        ["critical-field", "--j-kelvin", "-2.86", "--g", "2.0"],
+    ]
+
+
+def _mutations(argv, rng):
+    """argv with flags dropped, repeated, added, abbreviated and mistyped,
+    and values made invalid."""
+    flags = [i for i, a in enumerate(argv) if a.startswith("--")]
+    out = []
+    for _ in range(6):
+        i = rng.choice(flags)
+        flag = argv[i]
+        k = rng.randrange(1, len(argv) + 1)
+        out += [
+            argv[:i] + argv[i + 2:],
+            argv[:i] + argv[i + 1:],
+            argv + argv[i:i + 2],
+            argv[:k] + [rng.choice(["--bogus", "--bogus=1", "-x", "x", "-1e5"])]
+            + argv[k:],
+            argv[:i] + [flag[:rng.randrange(3, max(len(flag), 4))]] + argv[i + 1:],
+            argv[:i] + [flag.replace("-", "_", 1) if rng.random() < 0.5
+                        else flag[:-1] + "q"] + argv[i + 1:],
+            argv[:i + 1] + [rng.choice(["nan", "-inf", "1e999", "x", "", "--"])]
+            + argv[i + 2:],
+        ]
+    return out
+
+
+def _levels_of(argv):
+    words = argv[: 2 if argv[0] == "sweep" else 1]
+    return [words[:n] for n in range(len(words) + 1)]
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = "".join(l for l in out.getvalue().splitlines(True) if "timestamp" not in l)
+    return code, text, err.getvalue()
+
+
+def _namespace(parse, argv):
+    """The parsed arguments, sorted and as text so that NaN equals NaN, or
+    None where parsing exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return repr(sorted(vars(parse(argv)).items()))
+        except SystemExit:
+            return None
+
+
+def test_leaf_and_full_tree_parse_alike(monkeypatch, tmp_path):
+    rng = random.Random(20191)
+    argvs = [[], ["bogus"], ["sweep", "bogus"], ["sweep"], ["--bogus"]]
+    for base in _base_argvs(tmp_path):
+        argvs.append(base)
+        argvs += _mutations(base, rng)
+        for words in _levels_of(base):
+            argvs += [words + ["-h"], words + ["--version"], words + ["--vers"]]
+        argvs.append(base + ["-h"])
+    parser = cli.build_parser()
+    leaves = cli._leaf_parsers(parser)
+    monkeypatch.setattr(cli, "_parser", parser)
+    codes = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_leaves", {})
+        tree = _outcome(argv)
+        monkeypatch.setattr(cli, "_leaves", leaves)
+        assert _outcome(argv) == tree, argv
+        assert _namespace(cli._parse, argv) == _namespace(parser.parse_args, argv)
+        codes.append((tree[0], tuple(argv[:2]) in leaves or tuple(argv[:1]) in leaves))
+    # Both routes ran: requests that reached a leaf and succeeded, and
+    # usage errors, help and version from every level.
+    assert {(0, True), (2, True), (2, False), (0, False)} <= set(codes)
+    assert len(argvs) > 300

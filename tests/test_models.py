@@ -391,6 +391,25 @@ def test_critical_field_oracle_agrees_to_rounding_over_all_scales(j):
     assert_within_ulps(bc)
 
 
+@pytest.mark.parametrize("g", [0.5, 5.0])
+@pytest.mark.parametrize("j", [-1e-300, -1e-6, -1e6, -1e300, -1e306])
+def test_critical_field_passes_the_route_agreement_at_extreme_couplings(j, g):
+    bc = critical_field(j, g)
+    scale = max(bc.tesla, 100.0)
+    assert abs(bc.tesla_oracle - bc.tesla) <= models._CROSS_CHECK_RTOL * scale
+    assert models._CROSS_CHECK_RTOL <= 1e-14
+
+
+def test_critical_field_refuses_an_oracle_the_old_bound_let_through(monkeypatch):
+    # The whole level picture moved up by 5e-14 of the scale: the probes still
+    # see the crossing, but the oracle lands 5 times the bound away.
+    shift = 5e-14 * 100.0
+    real = models._level_gap
+    monkeypatch.setattr(models, "_level_gap", lambda j, g, b: real(j, g, b - shift))
+    with pytest.raises(NumericError, match="routes disagree"):
+        critical_field(J_REF, G_REF)
+
+
 @settings(max_examples=200, deadline=None)
 @given(log_j=st.floats(-6.0, 6.0), g=st.floats(0.5, 5.0))
 def test_critical_field_oracle_agrees_to_rounding(log_j, g):

@@ -13,10 +13,13 @@ from spindimer import (
     SweepTable,
     SweepVariable,
     build_hamiltonian,
+    coherence_longitudinal,
+    coherence_transverse,
     critical_field,
     emit,
     gibbs_state,
     l1_coherence,
+    partition_function,
     pressure_to_j,
     read_table_csv,
     read_table_json,
@@ -24,6 +27,7 @@ from spindimer import (
     rotate_to_sx,
     run_sweep,
 )
+from spindimer.models import level_energies
 
 FIXED = DimerParams(-2.86, 2.0, 1.0, 0.0)
 
@@ -234,12 +238,11 @@ def test_stronger_coupling_sustains_more_coherence():
 
 def test_sweep_catches_oracle_disagreement(monkeypatch):
     import spindimer.sweep as sweep_module
-    from spindimer.quantifiers import CoherenceValue
 
-    def wrong(params):
-        return CoherenceValue(np.full_like(params.temperature, 0.123), Basis.SZ)
+    def wrong(populations):
+        return np.full(populations.shape[:-1], 0.123)
 
-    monkeypatch.setattr(sweep_module, "coherence_longitudinal", wrong)
+    monkeypatch.setattr(sweep_module, "longitudinal_l1", wrong)
     with pytest.raises(NumericError, match="disagree"):
         run_sweep(temp_spec(steps=2))
 
@@ -452,19 +455,77 @@ def test_oracle_column_equals_row_by_row_scalar_calls(variable, basis):
 
 def test_sweep_names_first_disagreeing_row(monkeypatch):
     import spindimer.sweep as sweep_module
-    from spindimer.quantifiers import CoherenceValue
 
-    real = sweep_module.coherence_longitudinal
+    real = sweep_module.longitudinal_l1
 
-    def off_from_row_3(params):
-        value = real(params).value.copy()
+    def off_from_row_3(populations):
+        value = real(populations)
         value[3:] += 0.5
-        return CoherenceValue(value, Basis.SZ)
+        return value
 
-    monkeypatch.setattr(sweep_module, "coherence_longitudinal", off_from_row_3)
+    monkeypatch.setattr(sweep_module, "longitudinal_l1", off_from_row_3)
     row_3 = float(np.linspace(2.0, 350.0, 10)[3])
     with pytest.raises(NumericError, match=f"at T_kelvin={row_3!r}:"):
         run_sweep(temp_spec(steps=10))
+
+
+_LEVEL_NAMES = ("singlet", "triplet_plus", "triplet_zero", "triplet_minus")
+
+
+def _tie_rule(j, h):
+    """Lowest level(s) of each row, within 1e-12 max(1, |E0|) of the minimum."""
+    levels = level_energies(j, h)
+    e_min = levels.min(axis=-1, keepdims=True)
+    tied = levels <= e_min + 1e-12 * np.maximum(1.0, np.abs(e_min))
+    return tuple(
+        "+".join(name for name, low in zip(_LEVEL_NAMES, row) if low) for row in tied
+    )
+
+
+def _random_spec(rng, variable, basis):
+    fixed = DimerParams(
+        -float(np.exp(rng.uniform(-2.0, 3.0))) * rng.choice([1.0, -1.0]),
+        float(rng.uniform(0.5, 5.0)),
+        float(rng.uniform(0.5, 20.0)),
+        float(rng.choice([0.0, rng.uniform(0.0, 10.0)])),
+    )
+    steps = int(rng.integers(2, 65))
+    lo = float(rng.uniform(0.5, 5.0))
+    if variable == "temperature":
+        return SweepSpec(SweepVariable.TEMPERATURE, lo, lo + 40.0, steps, fixed, basis)
+    if variable == "field":
+        kind = (
+            SweepVariable.FIELD_LONGITUDINAL
+            if basis is Basis.SZ
+            else SweepVariable.FIELD_TRANSVERSE
+        )
+        return SweepSpec(kind, lo - 0.5, lo + 12.0, steps, fixed, basis)
+    return SweepSpec(SweepVariable.PRESSURE, 0.0, 4.0, steps, fixed, basis)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("basis", [Basis.SZ, Basis.SX])
+@pytest.mark.parametrize("variable", ["temperature", "field", "pressure"])
+def test_sweep_columns_equal_the_public_closed_forms(variable, basis, seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, variable, basis)
+    table = PressureTable((0.0, 1.5, 4.0), tuple(rng.uniform(-20.0, 20.0, 3)))
+    out = run_sweep(spec, table)
+    fixed = spec.fixed
+    swept = out.values[:, 0]
+    j = out.column("J_kelvin") if variable == "pressure" else fixed.j_over_kb
+    t = swept if variable == "temperature" else fixed.temperature
+    b = swept if variable == "field" else fixed.b_field
+    params = DimerParams(j, fixed.g, t, b)
+    if basis is Basis.SZ:
+        closed, name = coherence_longitudinal(params).value, "C_z"
+    else:
+        closed, name = coherence_transverse(params).value, "C_x"
+    np.testing.assert_array_equal(out.column(name), np.clip(closed, 0.0, 3.0))
+    np.testing.assert_array_equal(out.column("Z"), partition_function(params))
+    assert out.annotations["ground_state"] == _tie_rule(
+        np.broadcast_to(j, swept.shape), params.zeeman_kelvin
+    )
 
 
 def test_spec_caps_steps():
