@@ -41,18 +41,8 @@ from .quantifiers import (
     geometric_discord_zero_field,
     l1_coherence,
 )
-from .sweep import (
-    PressureTable,
-    SweepSpec,
-    SweepTable,
-    SweepVariable,
-    emit,
-    pressure_to_j,
-    read_table_csv,
-    read_table_json,
-    render_table,
-    run_sweep,
-)
+from .sweep import PressureTable, SweepSpec, SweepVariable, pressure_to_j, run_sweep
+from .tables import SweepTable, emit, read_table_csv, read_table_json, render_table
 
 __all__ = [
     "Basis",

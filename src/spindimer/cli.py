@@ -18,16 +18,8 @@ from .core import Basis, DimerParams
 from .errors import DataError, NumericError
 from .fitting import coherence_series, fit_bleaney_bowers, load_series
 from .models import ChiUnit, critical_field
-from .sweep import (
-    PressureTable,
-    SweepSpec,
-    SweepTable,
-    SweepVariable,
-    emit,
-    pressure_to_j,
-    render_table,
-    run_sweep,
-)
+from .sweep import PressureTable, SweepSpec, SweepVariable, pressure_to_j, run_sweep
+from .tables import SweepTable, emit, render_table
 
 OUT_DIR_ENV = "SPINDIMER_OUT_DIR"
 

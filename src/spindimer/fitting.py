@@ -26,7 +26,7 @@ from .models import (
     correlation_values,
     in_domain,
 )
-from .sweep import SweepTable, _read_two_column_csv
+from .tables import SweepTable, read_two_column_csv
 
 MIN_POINTS = 8
 MAX_ITERATIONS = 500
@@ -91,7 +91,7 @@ def load_series(
     The rows are validated as one array-valued point; a bad row is reported
     with its (1-based) data row index and its own point's message.
     """
-    _, rows = _read_two_column_csv(path, "T_kelvin,chi")
+    rows = read_two_column_csv(path, "T_kelvin,chi")
     if len(rows) < MIN_POINTS:
         raise DataError(
             f"need at least {MIN_POINTS} points for a fit, got {len(rows)}"

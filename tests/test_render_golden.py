@@ -140,10 +140,9 @@ def _json_dumps_reference(table, timestamp):
         SweepTable(("a", "b"), np.empty((0, 2)), {"flag": ()}, {}),
         SweepTable(("a",), np.array([[1.5], [np.nan]]), {"flag": ("", "x")}, {}),
         SweepTable((), np.empty((2, 0)), {"label": ("p", "q")}, {"k": "v"}),
-        SweepTable(("b", "a", "b"), np.array([[1.0, 2.0, 3.0]]), {}, {}),
         SweepTable(("t",), np.array([[np.inf], [-np.inf]]), {"flag": ("u", "v")}, {}),
     ],
-    ids=["no-rows", "nan", "no-columns", "duplicate-names", "infinities"],
+    ids=["no-rows", "nan", "no-columns", "infinities"],
 )
 def test_json_layout_matches_stdlib_encoder(table):
     assert render_table(table, "json", timestamp="T0") == _json_dumps_reference(
