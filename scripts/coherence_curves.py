@@ -64,12 +64,10 @@ def main() -> None:
           f"{table.column('J_kelvin')[-1]:.2f} K, regimes {regimes[0]} -> {regimes[-1]}")
 
     # Field scans at 50 mK: abrupt S_z drop, S_x saturation toward 3.
-    for basis, variable, name in (
-        (Basis.SZ, SweepVariable.FIELD_LONGITUDINAL, "field_scan_sz.csv"),
-        (Basis.SX, SweepVariable.FIELD_TRANSVERSE, "field_scan_sx.csv"),
-    ):
+    for basis, name in ((Basis.SZ, "field_scan_sz.csv"), (Basis.SX, "field_scan_sx.csv")):
         spec = SweepSpec(
-            variable, 0.0, 5.0, 250, DimerParams(J_AMBIENT, G, 0.05, 0.0), basis,
+            SweepVariable.FIELD, 0.0, 5.0, 250, DimerParams(J_AMBIENT, G, 0.05, 0.0),
+            basis,
         )
         table = run_sweep(spec)
         emit(table, "csv", out / name)

@@ -106,12 +106,6 @@ def _cmd_sweep_temp(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_field(args: argparse.Namespace) -> int:
     scale = 1.0 if args.field_unit == "tesla" else 1.0 / OERSTED_PER_TESLA
-    basis = Basis(args.basis)
-    variable = (
-        SweepVariable.FIELD_LONGITUDINAL
-        if basis is Basis.SZ
-        else SweepVariable.FIELD_TRANSVERSE
-    )
     fixed = DimerParams(
         j_over_kb=args.j_kelvin,
         g=args.g,
@@ -119,12 +113,12 @@ def _cmd_sweep_field(args: argparse.Namespace) -> int:
         b_field=0.0,
     )
     spec = SweepSpec(
-        variable=variable,
+        variable=SweepVariable.FIELD,
         minimum=args.b_min * scale,
         maximum=args.b_max * scale,
         steps=args.b_steps,
         fixed=fixed,
-        basis=basis,
+        basis=Basis(args.basis),
     )
     _deliver(run_sweep(spec), args)
     return 0

@@ -66,8 +66,7 @@ class SweepVariable(Enum):
     """Which axis a sweep walks along."""
 
     TEMPERATURE = "temperature"
-    FIELD_LONGITUDINAL = "field_longitudinal"
-    FIELD_TRANSVERSE = "field_transverse"
+    FIELD = "field"
     PRESSURE = "pressure"
 
 
@@ -76,8 +75,8 @@ class SweepSpec:
     """A linear grid over one variable with everything else held fixed.
 
     `fixed` supplies the held parameters; the swept field of it is ignored.
-    Field sweeps tie the variable to the measurement basis: longitudinal
-    reports S_z coherence, transverse S_x.
+    The field is always along z, so `basis` alone says which coherence a
+    sweep reports, C_z or C_x, whatever the variable.
     """
 
     variable: SweepVariable
@@ -98,14 +97,7 @@ class SweepSpec:
             raise ValueError(f"sweep allows at most {MAX_STEPS} steps")
         if self.variable is SweepVariable.TEMPERATURE and self.minimum <= 0.0:
             raise ValueError("temperatures must be > 0 K")
-        if self.variable is SweepVariable.FIELD_LONGITUDINAL and self.basis is not Basis.SZ:
-            raise ValueError("longitudinal field sweep reports the S_z basis")
-        if self.variable is SweepVariable.FIELD_TRANSVERSE and self.basis is not Basis.SX:
-            raise ValueError("transverse field sweep reports the S_x basis")
-        if self.variable in (
-            SweepVariable.FIELD_LONGITUDINAL,
-            SweepVariable.FIELD_TRANSVERSE,
-        ) and self.minimum < 0.0:
+        if self.variable is SweepVariable.FIELD and self.minimum < 0.0:
             raise ValueError("field sweep range must start at B >= 0")
 
 
@@ -177,8 +169,7 @@ def run_sweep(
     c_name = "C_z" if spec.basis is Basis.SZ else "C_x"
     swept_name = {
         SweepVariable.TEMPERATURE: "T_kelvin",
-        SweepVariable.FIELD_LONGITUDINAL: "B_tesla",
-        SweepVariable.FIELD_TRANSVERSE: "B_tesla",
+        SweepVariable.FIELD: "B_tesla",
         SweepVariable.PRESSURE: "P_GPa",
     }[spec.variable]
     is_pressure = spec.variable is SweepVariable.PRESSURE
@@ -229,8 +220,13 @@ def run_sweep(
         )
         annotations["regime"] = tuple(regime.tolist())
 
+    variable = spec.variable.value
+    # A field table's `variable` line names the field by the basis it
+    # reports, so emitted tables stay byte-stable.
+    if spec.variable is SweepVariable.FIELD:
+        variable = "field_longitudinal" if spec.basis is Basis.SZ else "field_transverse"
     metadata = {
-        "variable": spec.variable.value,
+        "variable": variable,
         "basis": spec.basis.value,
         "g": repr(spec.fixed.g),
         "tool_version": TOOL_VERSION,
@@ -241,7 +237,7 @@ def run_sweep(
         metadata["pressure_table"] = pressure_table.source
     if spec.variable is not SweepVariable.TEMPERATURE:
         metadata["t_kelvin"] = repr(spec.fixed.temperature)
-    if spec.variable in (SweepVariable.TEMPERATURE, SweepVariable.PRESSURE):
+    if spec.variable is not SweepVariable.FIELD:
         metadata["b_tesla"] = repr(spec.fixed.b_field)
 
     return SweepTable(

@@ -67,6 +67,13 @@ class SweepTable:
         texts = [s for item in self.metadata.items() for s in item]
         if any(not isinstance(s, str) for s in texts):
             raise ValueError("metadata keys and values must be strings")
+        # Both formats are written as UTF-8, which cannot encode the lone
+        # surrogate that a file name that is not UTF-8 decodes to.
+        try:
+            "".join([*cells, *texts]).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError("names, annotations and metadata must encode as "
+                             f"UTF-8: {exc.object[exc.start]!r} does not") from None
         # CSV writes one `# key = value` line per entry and reads it back
         # with str.splitlines, so no entry may hold a line boundary.
         if any("".join(s.splitlines()) != s for s in texts):
@@ -249,6 +256,8 @@ def read_table_csv(path: str | Path) -> SweepTable:
         try:
             numeric.append([float(cell) for cell in cells])
         except ValueError:
+            if name in annotations:
+                raise DataError(f"repeated annotation name {name!r}") from None
             annotations[name] = cells
         else:
             column_names.append(name)

@@ -52,12 +52,8 @@ def _sweep(axis: str, basis: Basis, held: float):
         spec = SweepSpec(SweepVariable.TEMPERATURE, 0.05, 20.0, ROWS, fixed, basis)
         return run_sweep(spec)
     if axis == "field":
-        variable = (
-            SweepVariable.FIELD_LONGITUDINAL if basis is Basis.SZ
-            else SweepVariable.FIELD_TRANSVERSE
-        )
         fixed = DimerParams(held, G, temperature=0.5, b_field=0.0)
-        return run_sweep(SweepSpec(variable, 0.0, 8.0, ROWS, fixed, basis))
+        return run_sweep(SweepSpec(SweepVariable.FIELD, 0.0, 8.0, ROWS, fixed, basis))
     table = _pressure_table()
     fixed = DimerParams(-2.86, G, temperature=held, b_field=1.0)
     spec = SweepSpec(SweepVariable.PRESSURE, 0.0, 10.0, ROWS, fixed, basis)

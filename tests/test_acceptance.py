@@ -175,7 +175,7 @@ def test_criterion_6_fit_recovery():
 def test_criterion_7_qualitative_figure_behavior(tmp_path):
     # (a) C_z falls monotonically with longitudinal field at fixed T.
     spec_a = SweepSpec(
-        SweepVariable.FIELD_LONGITUDINAL, 0.0, 5.0, 120,
+        SweepVariable.FIELD, 0.0, 5.0, 120,
         DimerParams(J_REF, G_REF, 0.05, 0.0), Basis.SZ,
     )
     path_a = tmp_path / "a.csv"
@@ -200,7 +200,7 @@ def test_criterion_7_qualitative_figure_behavior(tmp_path):
 
     # (c) Transverse-basis coherence exceeds 1 at strong field.
     spec_c = SweepSpec(
-        SweepVariable.FIELD_TRANSVERSE, 0.0, 5.0, 120,
+        SweepVariable.FIELD, 0.0, 5.0, 120,
         DimerParams(J_REF, G_REF, 0.05, 0.0), Basis.SX,
     )
     path_c = tmp_path / "c.csv"

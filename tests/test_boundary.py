@@ -80,17 +80,19 @@ def _specs():
         np.array([0.0, 5.0, 10.0]), np.array([-2.86, -0.5, 1.0]), "inline"
     )
     for basis in (Basis.SZ, Basis.SX):
-        field = (
-            SweepVariable.FIELD_LONGITUDINAL if basis is Basis.SZ
-            else SweepVariable.FIELD_TRANSVERSE
-        )
         yield SweepSpec(SweepVariable.TEMPERATURE, 0.01, 300.0, 50, fixed, basis), None
-        yield SweepSpec(field, 0.0, 20.0, 50, fixed, basis), None
+        yield SweepSpec(SweepVariable.FIELD, 0.0, 20.0, 50, fixed, basis), None
         yield SweepSpec(SweepVariable.PRESSURE, 0.0, 10.0, 50, fixed, basis), table
 
 
 SPECS = list(_specs())
-SPEC_IDS = [f"{s.variable.value}-{s.basis.value}" for s, _ in SPECS]
+# Each case is named by the `variable` its table writes and its basis.
+_FIELD_IDS = {Basis.SZ: "field_longitudinal", Basis.SX: "field_transverse"}
+SPEC_IDS = [
+    f"{_FIELD_IDS[s.basis] if s.variable is SweepVariable.FIELD else s.variable.value}"
+    f"-{s.basis.value}"
+    for s, _ in SPECS
+]
 
 
 @pytest.mark.parametrize("spec, table", SPECS, ids=SPEC_IDS)

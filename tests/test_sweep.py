@@ -50,12 +50,20 @@ def test_spec_rejects_bad_ranges():
 
 
 def test_spec_ties_field_variable_to_basis():
-    with pytest.raises(ValueError):
-        SweepSpec(SweepVariable.FIELD_LONGITUDINAL, 0.0, 5.0, 10, FIXED, Basis.SX)
-    with pytest.raises(ValueError):
-        SweepSpec(SweepVariable.FIELD_TRANSVERSE, 0.0, 5.0, 10, FIXED, Basis.SZ)
-    with pytest.raises(ValueError):
-        SweepSpec(SweepVariable.FIELD_LONGITUDINAL, -1.0, 5.0, 10, FIXED, Basis.SZ)
+    with pytest.raises(ValueError, match="B >= 0"):
+        SweepSpec(SweepVariable.FIELD, -1.0, 5.0, 10, FIXED, Basis.SZ)
+
+
+def test_one_field_variable_reports_the_coherence_of_its_basis():
+    assert [v.value for v in SweepVariable] == ["temperature", "field", "pressure"]
+    for basis, variable, column in (
+        (Basis.SZ, "field_longitudinal", "C_z"),
+        (Basis.SX, "field_transverse", "C_x"),
+    ):
+        out = run_sweep(SweepSpec(SweepVariable.FIELD, 0.0, 5.0, 10, FIXED, basis))
+        assert out.metadata["variable"] == variable
+        assert out.metadata["basis"] == basis.value
+        assert out.column_names[:2] == ("B_tesla", column)
 
 
 # --- pressure table ---------------------------------------------------------
@@ -169,7 +177,7 @@ def test_temperature_sweep_matches_quoted_curve():
 
 def test_field_sweep_steps_down_in_sz():
     spec = SweepSpec(
-        SweepVariable.FIELD_LONGITUDINAL,
+        SweepVariable.FIELD,
         0.0,
         5.0,
         101,
@@ -188,7 +196,7 @@ def test_field_sweep_steps_down_in_sz():
 
 def test_field_sweep_saturates_in_sx():
     spec = SweepSpec(
-        SweepVariable.FIELD_TRANSVERSE,
+        SweepVariable.FIELD,
         0.0,
         5.0,
         101,
@@ -205,7 +213,7 @@ def test_field_sweep_saturates_in_sx():
 def test_ground_state_tie_at_critical_field():
     bc = critical_field(-2.86, 2.0).tesla
     spec = SweepSpec(
-        SweepVariable.FIELD_LONGITUDINAL,
+        SweepVariable.FIELD,
         0.0,
         2.0 * bc,
         3,
@@ -429,12 +437,7 @@ def test_oracle_column_equals_row_by_row_scalar_calls(variable, basis):
     if variable == "temperature":
         spec = SweepSpec(SweepVariable.TEMPERATURE, 0.02, 40.0, 150, fixed, basis)
     elif variable == "field":
-        kind = (
-            SweepVariable.FIELD_LONGITUDINAL
-            if basis is Basis.SZ
-            else SweepVariable.FIELD_TRANSVERSE
-        )
-        spec = SweepSpec(kind, 0.0, 8.0, 150, fixed, basis)
+        spec = SweepSpec(SweepVariable.FIELD, 0.0, 8.0, 150, fixed, basis)
     else:
         spec = SweepSpec(SweepVariable.PRESSURE, 0.0, 4.0, 150, fixed, basis)
     out = run_sweep(spec, table)
@@ -469,6 +472,34 @@ def test_sweep_names_first_disagreeing_row(monkeypatch):
         run_sweep(temp_spec(steps=10))
 
 
+def test_oracle_gate_is_as_wide_as_oracle_atol(monkeypatch):
+    import spindimer.sweep as sweep_module
+
+    real = sweep_module.longitudinal_l1
+    grid = np.linspace(2.0, 350.0, 10)
+    monkeypatch.setattr(sweep_module, "longitudinal_l1", lambda p: real(p) + 2e-10)
+    with pytest.raises(NumericError, match=f"at T_kelvin={float(grid[0])!r}:"):
+        run_sweep(temp_spec(steps=10))
+    monkeypatch.setattr(sweep_module, "longitudinal_l1", lambda p: real(p) + 5e-11)
+    assert run_sweep(temp_spec(steps=10)).n_rows == 10
+
+
+def test_ground_state_tie_is_no_wider_than_rounding():
+    # At B_c(1 + 1e-9) the singlet lies 2.9e-9 K above |1,+1>, a gap far
+    # outside the tie tolerance of about 2e-12 K, while B_c itself ties.
+    bc = critical_field(-2.86, 2.0).tesla
+    spec = SweepSpec(
+        SweepVariable.FIELD,
+        bc,
+        bc * (1.0 + 1e-9),
+        2,
+        DimerParams(-2.86, 2.0, 0.1, 0.0),
+        Basis.SZ,
+    )
+    out = run_sweep(spec)
+    assert out.annotations["ground_state"] == ("singlet+triplet_plus", "triplet_plus")
+
+
 _LEVEL_NAMES = ("singlet", "triplet_plus", "triplet_zero", "triplet_minus")
 
 
@@ -494,12 +525,7 @@ def _random_spec(rng, variable, basis):
     if variable == "temperature":
         return SweepSpec(SweepVariable.TEMPERATURE, lo, lo + 40.0, steps, fixed, basis)
     if variable == "field":
-        kind = (
-            SweepVariable.FIELD_LONGITUDINAL
-            if basis is Basis.SZ
-            else SweepVariable.FIELD_TRANSVERSE
-        )
-        return SweepSpec(kind, lo - 0.5, lo + 12.0, steps, fixed, basis)
+        return SweepSpec(SweepVariable.FIELD, lo - 0.5, lo + 12.0, steps, fixed, basis)
     return SweepSpec(SweepVariable.PRESSURE, 0.0, 4.0, steps, fixed, basis)
 
 

@@ -1,6 +1,7 @@
 """Tables that construct read back as themselves, and tables that would not
 are refused at construction."""
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spindimer import SweepTable, emit, read_table_csv, read_table_json
+from spindimer import DataError, SweepTable, emit, read_table_csv, read_table_json
 
 # Each of these reads back from CSV as another table without an error: a
 # repeated name read back the last column's values under every copy, a
@@ -48,6 +49,37 @@ def test_csv_reader_refuses_a_repeated_column_name(tmp_path):
     path.write_text("b,a,b\n1.0,2.0,3.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="distinct"):
         read_table_csv(path)
+
+
+def test_csv_reader_refuses_a_repeated_annotation_name(tmp_path):
+    # Read into a dict, the second `n` would replace the first.
+    path = tmp_path / "repeated.csv"
+    path.write_text("a,n,n\n1.0,p,q\n", encoding="utf-8")
+    with pytest.raises(DataError, match="repeated annotation name 'n'"):
+        read_table_csv(path)
+    # A numeric column and an annotation may share a name.
+    path.write_text("n,n\n1.0,p\n", encoding="utf-8")
+    table = read_table_csv(path)
+    assert table.column_names == ("n",)
+    assert table.annotations == {"n": ("p",)}
+
+
+# A file name that is not UTF-8 decodes to a lone surrogate, which neither
+# format can write.
+UNDECODABLE = os.fsdecode(b"a\xffb")
+
+
+def test_table_refuses_strings_that_do_not_encode_as_utf8():
+    cases = [
+        ((UNDECODABLE,), {}, {}),
+        (("x",), {UNDECODABLE: ("p",)}, {}),
+        (("x",), {"note": (UNDECODABLE,)}, {}),
+        (("x",), {}, {UNDECODABLE: "v"}),
+        (("x",), {}, {"sample_id": UNDECODABLE}),
+    ]
+    for names, annotations, metadata in cases:
+        with pytest.raises(ValueError, match=r"encode as UTF-8: '\\udcff' does not"):
+            SweepTable(names, np.ones((1, 1)), annotations, metadata)
 
 
 # Neither a comma nor any boundary that str.splitlines breaks at.
