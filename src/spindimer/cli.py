@@ -46,14 +46,6 @@ def _deliver(table: SweepTable, args: argparse.Namespace) -> None:
         print(f"wrote {out}")
 
 
-def _fixed_field_tesla(args: argparse.Namespace) -> float:
-    if getattr(args, "b_oe", None) is not None:
-        return args.b_oe / OERSTED_PER_TESLA
-    if getattr(args, "b_tesla", None) is not None:
-        return args.b_tesla
-    return 0.0
-
-
 def _cmd_critical_field(args: argparse.Namespace) -> int:
     bc = critical_field(args.j_kelvin, args.g)
     print(f"B_c = {bc.tesla!r} T")
@@ -72,6 +64,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             raise ValueError("--init-j and --init-g must be given together")
         init = (args.init_j, args.init_g)
     fit = fit_bleaney_bowers(series, init)
+    # Built before the first print: a refused sample id leaves stdout empty.
+    table = None
+    if fit.converged and args.out is not None:
+        table = coherence_series(series, fit)
     print(f"sample = {series.sample_id} ({len(series)} points)")
     print(f"J/k_B = {fit.j_over_kb!r} +/- {fit.stderr_j:.3g} K")
     print(f"g = {fit.g!r} +/- {fit.stderr_g:.3g}")
@@ -79,68 +75,38 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     print(f"iterations = {fit.iterations}, converged = {fit.converged}")
     if not fit.converged:
         raise NumericError("fit did not converge within the iteration budget")
-    if args.out is not None:
-        table = coherence_series(series, fit)
+    if table is not None:
         _deliver(table, args)
     return 0
 
 
-def _cmd_sweep_temp(args: argparse.Namespace) -> int:
-    fixed = DimerParams(
-        j_over_kb=args.j_kelvin,
-        g=args.g,
-        temperature=1.0,
-        b_field=_fixed_field_tesla(args),
-    )
-    spec = SweepSpec(
-        variable=SweepVariable.TEMPERATURE,
-        minimum=args.t_min,
-        maximum=args.t_max,
-        steps=args.t_steps,
-        fixed=fixed,
-        basis=Basis(args.basis),
-    )
-    _deliver(run_sweep(spec), args)
-    return 0
+_SWEEP_VARIABLES = {
+    "temp": SweepVariable.TEMPERATURE,
+    "field": SweepVariable.FIELD,
+    "pressure": SweepVariable.PRESSURE,
+}
 
 
-def _cmd_sweep_field(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Run the sweep of any leaf. Each leaf's parser defaults the values it
+    holds fixed or lacks, so one spec builder serves all three."""
+    variable = _SWEEP_VARIABLES[args.sweep_variable]
+    pressures, j_kelvin = None, args.j_kelvin
+    if variable is SweepVariable.PRESSURE:
+        # Table and J at p_min come first, so a range outside the table is a
+        # data error even when the range is also invalid.
+        pressures = PressureTable.from_csv(args.pressure_table)
+        j_kelvin = pressure_to_j(pressures, args.minimum)
+    b_field = 0.0 if args.b_tesla is None else args.b_tesla
+    if args.b_oe is not None:
+        b_field = args.b_oe / OERSTED_PER_TESLA
     scale = 1.0 if args.field_unit == "tesla" else 1.0 / OERSTED_PER_TESLA
-    fixed = DimerParams(
-        j_over_kb=args.j_kelvin,
-        g=args.g,
-        temperature=args.t_kelvin,
-        b_field=0.0,
-    )
+    fixed = DimerParams(j_kelvin, args.g, args.t_kelvin, b_field)
     spec = SweepSpec(
-        variable=SweepVariable.FIELD,
-        minimum=args.b_min * scale,
-        maximum=args.b_max * scale,
-        steps=args.b_steps,
-        fixed=fixed,
-        basis=Basis(args.basis),
+        variable, args.minimum * scale, args.maximum * scale, args.steps, fixed,
+        Basis(args.basis),
     )
-    _deliver(run_sweep(spec), args)
-    return 0
-
-
-def _cmd_sweep_pressure(args: argparse.Namespace) -> int:
-    table = PressureTable.from_csv(args.pressure_table)
-    fixed = DimerParams(
-        j_over_kb=pressure_to_j(table, args.p_min),
-        g=args.g,
-        temperature=args.t_kelvin,
-        b_field=_fixed_field_tesla(args),
-    )
-    spec = SweepSpec(
-        variable=SweepVariable.PRESSURE,
-        minimum=args.p_min,
-        maximum=args.p_max,
-        steps=args.p_steps,
-        fixed=fixed,
-        basis=Basis(args.basis),
-    )
-    _deliver(run_sweep(spec, table), args)
+    _deliver(run_sweep(spec, pressures), args)
     return 0
 
 
@@ -150,6 +116,18 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
         "--out",
         help=f"output file; relative paths resolve under ${OUT_DIR_ENV}",
     )
+
+
+def _add_range_flags(parser: argparse.ArgumentParser, axis: str) -> None:
+    """--{axis}-min, --{axis}-max and --{axis}-steps, parsed as minimum,
+    maximum and steps."""
+    for word, dest, kind in (
+        ("min", "minimum", float), ("max", "maximum", float), ("steps", "steps", int)
+    ):
+        parser.add_argument(
+            f"--{axis}-{word}", dest=dest, metavar=f"{axis}_{word}".upper(),
+            type=kind, required=True,
+        )
 
 
 def _add_fixed_field_flags(parser: argparse.ArgumentParser) -> None:
@@ -203,41 +181,36 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = p_sweep.add_subparsers(dest="sweep_variable", required=True)
 
     p_temp = sweep_sub.add_parser("temp", help="sweep temperature at fixed field")
-    p_temp.add_argument("--t-min", type=float, required=True)
-    p_temp.add_argument("--t-max", type=float, required=True)
-    p_temp.add_argument("--t-steps", type=int, required=True)
+    _add_range_flags(p_temp, "t")
     p_temp.add_argument("--j-kelvin", type=float, required=True)
     p_temp.add_argument("--g", type=float, default=2.0)
     p_temp.add_argument("--basis", choices=("z", "x"), default="z")
     _add_fixed_field_flags(p_temp)
     _add_output_flags(p_temp)
-    p_temp.set_defaults(func=_cmd_sweep_temp)
+    # run_sweep ignores the held temperature of a temperature sweep.
+    p_temp.set_defaults(func=_cmd_sweep, t_kelvin=1.0, field_unit="tesla")
 
     p_field = sweep_sub.add_parser("field", help="sweep field at fixed temperature")
-    p_field.add_argument("--b-min", type=float, required=True)
-    p_field.add_argument("--b-max", type=float, required=True)
-    p_field.add_argument("--b-steps", type=int, required=True)
+    _add_range_flags(p_field, "b")
     p_field.add_argument("--field-unit", choices=("tesla", "oe"), default="tesla")
     p_field.add_argument("--t-kelvin", type=float, required=True)
     p_field.add_argument("--j-kelvin", type=float, required=True)
     p_field.add_argument("--g", type=float, default=2.0)
     p_field.add_argument("--basis", choices=("z", "x"), default="z")
     _add_output_flags(p_field)
-    p_field.set_defaults(func=_cmd_sweep_field)
+    p_field.set_defaults(func=_cmd_sweep, b_tesla=None, b_oe=None)
 
     p_press = sweep_sub.add_parser(
         "pressure", help="sweep pressure through a J(P) table"
     )
-    p_press.add_argument("--p-min", type=float, required=True)
-    p_press.add_argument("--p-max", type=float, required=True)
-    p_press.add_argument("--p-steps", type=int, required=True)
+    _add_range_flags(p_press, "p")
     p_press.add_argument("--pressure-table", required=True)
     p_press.add_argument("--t-kelvin", type=float, required=True)
     p_press.add_argument("--g", type=float, default=2.0)
     p_press.add_argument("--basis", choices=("z", "x"), default="z")
     _add_fixed_field_flags(p_press)
     _add_output_flags(p_press)
-    p_press.set_defaults(func=_cmd_sweep_pressure)
+    p_press.set_defaults(func=_cmd_sweep, j_kelvin=None, field_unit="tesla")
 
     return parser
 

@@ -13,10 +13,16 @@ import numpy as np
 import pytest
 
 from spindimer import (
+    Basis,
+    DimerParams,
+    PressureTable,
+    SweepSpec,
+    SweepVariable,
     bleaney_bowers_chi,
     critical_field,
     read_table_csv,
     read_table_json,
+    run_sweep,
 )
 from spindimer.cli import OUT_DIR_ENV, main
 import spindimer.cli as cli
@@ -198,12 +204,12 @@ def test_fit_refuses_a_sample_id_with_a_line_break(tmp_path, capsys, stem):
     cause = "UTF-8" if stem == UNDECODABLE else "line breaks"
     for fmt in ("csv", "json"):
         out_file = tmp_path / f"coherence.{fmt}"
-        # The fit prints the sample id first. A StringIO takes the surrogate,
-        # as the interpreter's stdout does in UTF-8 mode or the C locale.
-        with redirect_stdout(io.StringIO()):
-            code = main(["fit", str(csv), "--format", fmt, "--out", str(out_file)])
+        code = main(["fit", str(csv), "--format", fmt, "--out", str(out_file)])
         assert code == 2
-        assert cause in capsys.readouterr().err
+        # The table is refused before any fit line is printed.
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert cause in captured.err
         assert not out_file.exists()
 
 
@@ -271,6 +277,76 @@ def test_pressure_sweep_out_of_range_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "extrapolation refused" in capsys.readouterr().err
+
+
+# --- every sweep leaf against the library -----------------------------------
+
+PRESSURE_CSV = Path(__file__).parent.parent / "data" / "pressure_j_synthetic.csv"
+TEMP = ["sweep", "temp", "--t-min", "2", "--t-max", "20", "--t-steps", "5",
+        "--j-kelvin", "-2.86"]
+FIELD = ["sweep", "field", "--b-min", "0", "--b-max", "5", "--b-steps", "5",
+         "--t-kelvin", "0.5", "--j-kelvin", "-2.86"]
+FIELD_OE = ["sweep", "field", "--b-min", "0", "--b-max", "5e4", "--b-steps", "5",
+            "--field-unit", "oe", "--t-kelvin", "0.5", "--j-kelvin", "-2.86"]
+PRESSURE = ["sweep", "pressure", "--p-min", "0", "--p-max", "8", "--p-steps", "5",
+            "--pressure-table", str(PRESSURE_CSV), "--t-kelvin", "2"]
+
+
+def test_pressure_sweep_reads_its_table_before_checking_the_range(capsys):
+    # min > max is a usage error, but a range outside the table is found first.
+    assert main(PRESSURE + ["--p-min", "-5", "--p-max", "-10"]) == 3
+    assert "extrapolation refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+@pytest.mark.parametrize(
+    "argv, variable, lo, hi, t, b",
+    [
+        (TEMP, SweepVariable.TEMPERATURE, 2.0, 20.0, 1.0, 0.0),
+        (TEMP + ["--b-tesla", "1"], SweepVariable.TEMPERATURE, 2.0, 20.0, 1.0, 1.0),
+        (TEMP + ["--b-tesla", "-0.0"], SweepVariable.TEMPERATURE, 2.0, 20.0, 1.0, -0.0),
+        (TEMP + ["--b-oe", "1e4"], SweepVariable.TEMPERATURE, 2.0, 20.0, 1.0, 1.0),
+        (FIELD, SweepVariable.FIELD, 0.0, 5.0, 0.5, 0.0),
+        (FIELD_OE, SweepVariable.FIELD, 0.0, 5.0, 0.5, 0.0),
+        (PRESSURE, SweepVariable.PRESSURE, 0.0, 8.0, 2.0, 0.0),
+        (PRESSURE + ["--b-tesla", "1"], SweepVariable.PRESSURE, 0.0, 8.0, 2.0, 1.0),
+        (PRESSURE + ["--b-oe", "1e4"], SweepVariable.PRESSURE, 0.0, 8.0, 2.0, 1.0),
+    ],
+)
+def test_every_sweep_leaf_emits_the_library_table(
+    tmp_path, capsys, argv, variable, lo, hi, t, b, basis
+):
+    out_file = tmp_path / "table.csv"
+    assert main(argv + ["--basis", basis, "--out", str(out_file)]) == 0
+    emitted = read_table_csv(out_file)
+    spec = SweepSpec(variable, lo, hi, 5, DimerParams(-2.86, 2.0, t, b), Basis(basis))
+    pressures = None
+    if variable is SweepVariable.PRESSURE:
+        pressures = PressureTable.from_csv(str(PRESSURE_CSV))
+    expected = run_sweep(spec, pressures)
+    assert emitted.column_names == expected.column_names
+    assert emitted.values.shape == expected.values.shape
+    assert emitted.values.tobytes() == expected.values.tobytes()
+    assert emitted.annotations == expected.annotations
+    assert emitted.metadata.pop("timestamp")
+    assert emitted.metadata == expected.metadata
+
+
+@pytest.mark.parametrize(
+    "leaf, flags",
+    [
+        ("temp", ["--t-min T_MIN", "--t-max T_MAX", "--t-steps T_STEPS"]),
+        ("field", ["--b-min B_MIN", "--b-max B_MAX", "--b-steps B_STEPS"]),
+        ("pressure", ["--p-min P_MIN", "--p-max P_MAX", "--p-steps P_STEPS"]),
+    ],
+)
+def test_sweep_leaf_help_names_each_range_flag(capsys, leaf, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", leaf, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in flags:
+        assert f"\n  {flag}" in out
 
 
 # --- one parser per process -------------------------------------------------

@@ -9,12 +9,15 @@ from spindimer import (
     ChiUnit,
     DataError,
     DimerParams,
+    FitResult,
     NumericError,
     SusceptibilityPoint,
+    SusceptibilitySeries,
     bleaney_bowers_chi,
     build_hamiltonian,
     coherence_from_chi,
     coherence_longitudinal,
+    coherence_series,
     coherence_transverse,
     critical_field,
     eigensystem,
@@ -31,7 +34,7 @@ from spindimer.constants import (
 )
 import spindimer.models as models
 from spindimer.models import correlation_values
-from spindimer.core import SINGLET
+from spindimer.core import SINGLET, _trusted
 
 J_REF = -2.86
 G_REF = 2.0
@@ -270,6 +273,37 @@ def test_noise_band_tolerated_on_high_side():
         rho_zero_field(c)
 
 
+@pytest.mark.parametrize(
+    "c, physical",
+    [
+        (1.0 / 3.0 + 0.019, True),
+        (-1.0 - 0.019, True),
+        (1.0 / 3.0 + 0.021, False),
+        (-1.021, False),
+    ],
+)
+def test_noise_band_is_two_hundredths_wide(c, physical):
+    t = np.array([2.0])
+    chi = (c + 1.0) * G_REF**2 * CURIE_EMU_K_PER_MOL / (2.0 * t)
+    fields = dict(temperature=t, chi=chi, unit=ChiUnit.EMU_PER_MOL)
+    if c >= -1.0:
+        point = SusceptibilityPoint(**fields)
+    else:
+        # chi >= 0 keeps c >= -1, so SusceptibilityPoint refuses the low
+        # side; those points are built past its check.
+        point = _trusted(SusceptibilityPoint, **fields)
+    if physical:
+        assert coherence_from_chi(point, G_REF).value == pytest.approx(
+            [abs(c)], abs=1e-12
+        )
+    else:
+        with pytest.raises(DataError, match="unphysical data point"):
+            coherence_from_chi(point, G_REF)
+    fit = FitResult(J_REF, G_REF, 0.0, 0.0, 0.0, iterations=1, converged=True)
+    table = coherence_series(SusceptibilitySeries(point, "band"), fit)
+    assert table.annotations["flag"] == ("" if physical else "unphysical",)
+
+
 def test_ferromagnetic_coupling_has_no_crossing():
     with pytest.raises(DataError, match="no level crossing"):
         critical_field(1.5, 2.0)
@@ -371,6 +405,25 @@ def test_critical_field_bracket_errors_survive_the_joint_check(
     )
     with pytest.raises(NumericError, match=message):
         critical_field(J_REF, G_REF)
+
+
+@pytest.mark.parametrize("j", [J_REF, -300.0])
+def test_critical_field_probes_straddle_the_oracle_one_width_apart(monkeypatch, j):
+    fields = []
+    real = models._level_gap
+
+    def recording(j_over_kb, g, b_tesla):
+        fields.append(b_tesla)
+        return real(j_over_kb, g, b_tesla)
+
+    monkeypatch.setattr(models, "_level_gap", recording)
+    bc = critical_field(j, G_REF)
+    below, above = fields[1]
+    assert below < bc.tesla_oracle < above
+    # The width is 1e-14 of max(B_c, 100 T), give or take the rounding of
+    # the oracle value each probe is offset from.
+    scale = max(bc.tesla, 100.0)
+    assert above - below <= 1e-14 * scale + 2 * np.spacing(bc.tesla_oracle)
 
 
 # The oracle's critical field may differ from the closed form by rounding
