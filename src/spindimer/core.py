@@ -215,16 +215,16 @@ def gibbs_state(h: Hamiltonian4, temperature: float | np.ndarray) -> DensityMatr
     """Thermal state exp(-H/T)/Z via eigendecomposition.
 
     Energies are shifted by the ground energy before exponentiating, so the
-    Boltzmann weights cannot overflow even at sub-microkelvin temperatures;
-    anything non-finite that slips through raises NumericError. A stack of
-    Hamiltonians takes one temperature per matrix (or one for all) and is
-    diagonalized in a single call.
+    Boltzmann weights cannot overflow even at sub-microkelvin temperatures.
+    A stack of Hamiltonians takes one temperature per matrix (or one for
+    all) and is diagonalized in a single call.
 
-    The normalized weights are the state's spectrum and the eigenvectors are
-    orthonormal, so the state is symmetric, of unit trace and positive
-    semidefinite by construction once the weights are finite, an O(N) check
-    in place of re-deriving the spectrum with eigvalsh. The ground weight is
-    exp(0) = 1 and every weight lies in [0, 1], so they sum to 1 in a few ulp.
+    Finite entries near the float limit can still give infinite eigenvalues,
+    which raise NumericError. Otherwise every weight lies in [0, 1] (a shift
+    that overflows weighs exactly 0) and the ground weight is 1, so the
+    normalized weights are finite and are the state's spectrum. With
+    orthonormal eigenvectors the state is then symmetric, of unit trace and
+    positive semidefinite by construction, with no eigvalsh to re-derive it.
     """
     t = np.asarray(temperature, dtype=float)
     if (t <= 0.0).any():
@@ -232,14 +232,12 @@ def gibbs_state(h: Hamiltonian4, temperature: float | np.ndarray) -> DensityMatr
     if not np.isfinite(t).all():
         raise ValueError("temperature must be finite")
     evals, evecs = np.linalg.eigh(h.entries)
-    shifted = evals - evals.min(axis=-1, keepdims=True)
-    weights = np.exp(-shifted / t[..., None])
-    # Each weight is at most 1 or NaN, so the sum is finite exactly when
-    # every weight is.
-    total = weights.sum(axis=-1, keepdims=True)
-    if not np.isfinite(total).all():
-        raise NumericError("temperature underflow")
-    weights /= total
+    if not np.isfinite(evals).all():
+        raise NumericError("Hamiltonian eigenvalues overflow")
+    with np.errstate(over="ignore"):
+        shifted = evals - evals.min(axis=-1, keepdims=True)
+        weights = np.exp(-shifted / t[..., None])
+    weights /= weights.sum(axis=-1, keepdims=True)
     rho = (evecs * weights[..., None, :]) @ np.swapaxes(evecs, -1, -2)
     return _trusted(DensityMatrix4, entries=rho, basis=Basis.SZ)
 

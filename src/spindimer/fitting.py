@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CURIE_EMU_K_PER_MOL, TOOL_VERSION
-from .core import DimerParams
+from .core import DimerParams, _trusted
 from .errors import DataError, NumericError
 from .models import (
     ChiUnit,
@@ -97,15 +97,13 @@ def load_series(
             f"need at least {MIN_POINTS} points for a fit, got {len(rows)}"
         )
     t, chi = np.array(list(zip(*rows)))
+    # The first row outside the domain, or row 1, which then passes too.
+    i = int(np.argmin(in_domain(t, chi)))
     try:
-        data = SusceptibilityPoint(t, chi, unit)
-    except ValueError:
-        i = int(np.argmin(in_domain(t, chi)))
-        try:
-            SusceptibilityPoint(float(t[i]), float(chi[i]), unit)
-        except ValueError as exc:
-            raise DataError(f"row {i + 1}: {exc}") from exc
-        raise
+        SusceptibilityPoint(float(t[i]), float(chi[i]), unit)
+    except ValueError as exc:
+        raise DataError(f"row {i + 1}: {exc}") from exc
+    data = _trusted(SusceptibilityPoint, temperature=t, chi=chi, unit=unit)
     return SusceptibilitySeries(data, Path(path).stem)
 
 
@@ -174,7 +172,6 @@ def fit_bleaney_bowers(
     trace = [rss]
     iterations = 0
     converged = False
-    n = len(t)
 
     while iterations < MAX_ITERATIONS:
         iterations += 1
@@ -220,9 +217,9 @@ def fit_bleaney_bowers(
 
     jac = _bb_jacobian(t, j, g)
     jtj = jac.T @ jac
-    if n > 2 and converged:
+    if converged:
         try:
-            cov = np.linalg.inv(jtj) * rss / (n - 2)
+            cov = np.linalg.inv(jtj) * rss / (len(t) - 2)
             stderr_j = math.sqrt(max(0.0, float(cov[0, 0])))
             stderr_g = math.sqrt(max(0.0, float(cov[1, 1])))
         except np.linalg.LinAlgError as exc:

@@ -42,11 +42,11 @@ from .core import (
 from .errors import DataError, NumericError
 from .quantifiers import CoherenceValue
 
-# Noisy experimental points may fall slightly outside the physical
-# correlation range; anything beyond this band is a unit or normalization
-# mistake, not noise.
+# Noisy experimental points may fall slightly above the physical bound 1/3;
+# anything beyond this band is a unit or normalization mistake, not noise.
+# A point's chi >= 0 and T > 0 already give c >= -1 exactly.
 CORRELATION_NOISE_TOL = 0.02
-_CORRELATION_BAND = (-1.0 - CORRELATION_NOISE_TOL, 1.0 / 3.0 + CORRELATION_NOISE_TOL)
+_CORRELATION_MAX = 1.0 / 3.0 + CORRELATION_NOISE_TOL
 
 # Critical-field bracket width and route agreement, relative to
 # max(B_c, 100 T): both 1e-12 T up to 100 T, growing with B_c beyond that so
@@ -192,11 +192,17 @@ def correlation_values(
     point: SusceptibilityPoint, g: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spin-spin correlation c = 2 k_B T chi_molar / (N_A g^2 mu_B^2) - 1 of
-    each sample, and the mask of samples inside the physical range widened
-    by the noise band. Nothing is clamped or rejected."""
-    c = 2.0 * point.temperature * point.chi_emu() / (g**2 * CURIE_EMU_K_PER_MOL) - 1.0
-    lo, hi = _CORRELATION_BAND
-    return c, (lo <= c) & (c <= hi)
+    each sample, and the mask of samples at most the noise band above 1/3.
+    Nothing is clamped or rejected. A g whose square underflows gives
+    c = inf, and a NaN c is outside the band too."""
+    # A finite g > 0, checked as DimerParams checks it.
+    DimerParams(0.0, g, temperature=1.0)
+    # In numpy scalars g^2 = 0 divides to inf, where Python floats would
+    # raise ZeroDivisionError; every finite result keeps the same bits.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = np.float64(g) ** 2 * CURIE_EMU_K_PER_MOL
+        c = 2.0 * point.temperature * point.chi_emu() / scale - 1.0
+    return c, c <= _CORRELATION_MAX
 
 
 def rho_zero_field(c: float | np.ndarray) -> DensityMatrix4:
@@ -223,8 +229,8 @@ def rho_zero_field(c: float | np.ndarray) -> DensityMatrix4:
 def coherence_from_chi(point: SusceptibilityPoint, g: float) -> CoherenceValue:
     """l1 coherence |c| of the zero-field state, straight from susceptibility.
 
-    No clamping: a correlation outside the physical range by more than the
-    noise band raises "unphysical data point", naming the first such sample.
+    No clamping: a correlation above 1/3 by more than the noise band raises
+    "unphysical data point", naming the first such sample.
     """
     c, physical = correlation_values(point, g)
     if not np.all(physical):

@@ -207,8 +207,10 @@ def run_sweep(
         )
     z = partition_from_levels(levels, t)
 
-    # Saturated values can land a few ulp past the exact bound of 3;
-    # clamp after the agreement check so emitted tables stay physical.
+    # At J = 0 the S_z state is diagonal, so the oracle's sum - trace
+    # subtracts two equal sums and can round a few ulp below 0 (-2.2e-16 on
+    # a field sweep at T = 1 K). Clamp to the exact range [0, 3] after the
+    # agreement check, so emitted tables stay physical.
     names = [swept_name, c_name, "C_oracle", "Z"]
     data = [grid, np.clip(closed, 0.0, 3.0), np.clip(oracle, 0.0, 3.0), z]
     annotations = {"ground_state": _ground_state_labels(levels)}

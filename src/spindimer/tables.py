@@ -269,13 +269,8 @@ def read_table_json(path: str | Path) -> SweepTable:
     """Parse a table emitted as JSON back into a SweepTable."""
     payload = json.loads(_read_text(path))
     names = tuple(payload["column_order"])
-    values = np.array(
-        [
-            [math.nan if v is None else float(v) for v in payload["columns"][n]]
-            for n in names
-        ],
-        dtype=float,
-    ).T
+    # numpy reads a JSON null (None) as NaN.
+    values = np.array([payload["columns"][n] for n in names], dtype=float).T
     annotations = {
         k: tuple(payload["annotations"][k]) for k in payload["annotation_order"]
     }

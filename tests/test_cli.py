@@ -94,6 +94,31 @@ def test_numeric_failure_exit_4(capsys):
     assert "temperature underflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("T_kelvin,chi\n2.0,0.01\n3.0,0.01,7\n", "row 2: expected 2 fields, got '3.0,0.01,7'"),
+        ("# no header\n\n", "has no header line"),
+    ],
+    ids=["row-width", "no-header"],
+)
+def test_malformed_fit_file_exit_3(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["fit", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_sweep_into_a_missing_directory_exit_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.csv"
+    code = main(["sweep", "temp", "--t-min", "2", "--t-max", "20", "--t-steps", "3",
+                 "--j-kelvin", "-2.86", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_missing_file_exit_3(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv")]) == 3
     assert "nope.csv" in capsys.readouterr().err

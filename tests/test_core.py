@@ -190,6 +190,41 @@ def test_gibbs_keeps_the_sign_message_for_minus_infinity():
         gibbs_state(h, -np.inf)
 
 
+def test_gibbs_names_an_eigenvalue_overflow_without_a_warning():
+    # Every entry is finite, but eigh returns -inf and inf. Warnings are
+    # errors in this suite, so an `inf - inf` in the shift would fail here.
+    h = np.zeros((4, 4))
+    h[0, 0] = h[0, 1] = h[1, 0] = 1.7e308
+    h[1, 1], h[2, 2] = -1.7e308, 1.0
+    with pytest.raises(NumericError, match="Hamiltonian eigenvalues overflow"):
+        gibbs_state(Hamiltonian4(h), 1.0)
+
+
+@pytest.mark.parametrize(
+    "diagonal, t",
+    [
+        # The shift itself overflows: 1.7e308 - (-1.7e308).
+        ([1.7e308, -1.7e308, 0.0, 1.0], 1.0),
+        # The shift is finite, shift / T is not.
+        ([1e300, 0.0, 2e300, 3e300], 1e-10),
+    ],
+)
+def test_gibbs_weighs_an_overflowing_shift_zero(diagonal, t):
+    rho = gibbs_state(Hamiltonian4(np.diag(diagonal)), t)
+    ground = np.zeros((4, 4))
+    k = int(np.argmin(diagonal))
+    ground[k, k] = 1.0
+    assert np.array_equal(rho.entries, ground)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (2, 3, 3), (16,)])
+def test_matrices_refuse_a_shape_that_is_not_4x4(shape):
+    with pytest.raises(ValueError, match="Hamiltonian must be 4x4"):
+        Hamiltonian4(np.zeros(shape))
+    with pytest.raises(ValueError, match="density matrix must be 4x4"):
+        DensityMatrix4(np.full(shape, 0.25), Basis.SZ)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_density_matrix_refuses_non_finite_entries(bad):
     for dtype in (float, complex):

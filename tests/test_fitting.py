@@ -128,6 +128,35 @@ def test_load_series_names_first_of_several_bad_rows(tmp_path):
     assert str(info.value) == "row 6: temperature must be > 0 K"
 
 
+def test_load_series_names_a_bad_first_row(tmp_path):
+    # Row 1 is also the row checked on its own when every row is fine.
+    rows = [f"{float(t)},0.01" for t in range(2, 12)]
+    rows[0] = "0.0,0.01"
+    path = write_csv(tmp_path / "first.csv", rows)
+    with pytest.raises(DataError) as info:
+        load_series(path)
+    assert str(info.value) == "row 1: temperature must be > 0 K"
+
+
+@pytest.mark.parametrize("line", ["4.0", "4.0,0.01,7", "4.0;0.01"])
+def test_load_series_refuses_a_row_of_the_wrong_width(tmp_path, line):
+    rows = [f"{float(t)},0.01" for t in range(2, 12)]
+    rows[2] = line
+    path = write_csv(tmp_path / "wide.csv", rows)
+    with pytest.raises(DataError) as info:
+        load_series(path)
+    assert str(info.value) == f"row 3: expected 2 fields, got {line!r}"
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n# T_kelvin,chi\n"])
+def test_load_series_refuses_a_file_without_a_header(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_series(path)
+    assert str(info.value) == f"malformed header: {path} has no header line"
+
+
 def test_load_series_keeps_unit_and_arrays(tmp_path):
     rows = [f"{float(t)!r},{0.01 * t!r}" for t in range(2, 12)]
     path = write_csv(tmp_path / "run-7.csv", rows)
@@ -227,6 +256,42 @@ def test_fit_rss_reported_in_input_units():
     emu_fit = fit_bleaney_bowers(noisy_emu)
     si_fit = fit_bleaney_bowers(SusceptibilitySeries(si_data, "si"))
     assert si_fit.rss == pytest.approx(emu_fit.rss * SI_M3_PER_EMU**2, rel=1e-6)
+
+
+@pytest.mark.parametrize("field", ["stderr_j", "stderr_g"])
+def test_fit_result_refuses_a_negative_standard_error(field):
+    values = dict(j_over_kb=J_TRUE, g=G_TRUE, rss=0.0, stderr_j=0.0, stderr_g=0.0,
+                  iterations=1, converged=True)
+    values[field] = -1e-300
+    with pytest.raises(ValueError, match="standard errors must be >= 0"):
+        fitting.FitResult(**values)
+
+
+@pytest.mark.parametrize(
+    "chi0",
+    [
+        0.0,  # nothing to invert
+        1.0,  # above 2 g^2 C / (3 T): no e^(-J/T) > 0 gives it
+        5e-324,  # e^(-J/T) overflows, so J = -inf
+    ],
+)
+def test_fit_without_an_invertible_first_point_starts_at_mild_afm(chi0):
+    chi = bleaney_bowers_chi(J_TRUE, G_TRUE, TEMPS).chi.copy()
+    chi[0] = chi0
+    series = SusceptibilitySeries(SusceptibilityPoint(TEMPS, chi), "start")
+    default = fit_bleaney_bowers(series)
+    assert default == fit_bleaney_bowers(series, (-1.0, 2.0))
+    # rss_trace starts at the start's rss, so no other start compares equal.
+    assert default != fit_bleaney_bowers(series, (-1.0, 2.1))
+
+
+def test_fit_stops_unconverged_once_the_damping_passes_its_cap():
+    # No (J, g) comes near a flat chi of 1e30 emu/mol: every step is
+    # refused, and 16 tenfold raises take lambda from 1e-3 past 1e12.
+    series = SusceptibilitySeries(SusceptibilityPoint(TEMPS[:8], np.full(8, 1e30)), "flat")
+    fit = fit_bleaney_bowers(series)
+    assert (fit.converged, fit.iterations) == (False, 16)
+    assert (fit.j_over_kb, fit.g, len(fit.rss_trace)) == (-1.0, 2.0, 1)
 
 
 def test_fit_degenerate_at_zero_g():

@@ -34,7 +34,7 @@ from spindimer.constants import (
 )
 import spindimer.models as models
 from spindimer.models import correlation_values
-from spindimer.core import SINGLET, _trusted
+from spindimer.core import SINGLET
 
 J_REF = -2.86
 G_REF = 2.0
@@ -277,21 +277,15 @@ def test_noise_band_tolerated_on_high_side():
     "c, physical",
     [
         (1.0 / 3.0 + 0.019, True),
-        (-1.0 - 0.019, True),
         (1.0 / 3.0 + 0.021, False),
-        (-1.021, False),
+        # chi = 0, the lowest chi a point accepts: the band is one-sided.
+        (-1.0, True),
     ],
 )
 def test_noise_band_is_two_hundredths_wide(c, physical):
     t = np.array([2.0])
     chi = (c + 1.0) * G_REF**2 * CURIE_EMU_K_PER_MOL / (2.0 * t)
-    fields = dict(temperature=t, chi=chi, unit=ChiUnit.EMU_PER_MOL)
-    if c >= -1.0:
-        point = SusceptibilityPoint(**fields)
-    else:
-        # chi >= 0 keeps c >= -1, so SusceptibilityPoint refuses the low
-        # side; those points are built past its check.
-        point = _trusted(SusceptibilityPoint, **fields)
+    point = SusceptibilityPoint(t, chi, ChiUnit.EMU_PER_MOL)
     if physical:
         assert coherence_from_chi(point, G_REF).value == pytest.approx(
             [abs(c)], abs=1e-12
@@ -302,6 +296,56 @@ def test_noise_band_is_two_hundredths_wide(c, physical):
     fit = FitResult(J_REF, G_REF, 0.0, 0.0, 0.0, iterations=1, converged=True)
     table = coherence_series(SusceptibilitySeries(point, "band"), fit)
     assert table.annotations["flag"] == ("" if physical else "unphysical",)
+
+
+POINTS = {
+    "scalar": SusceptibilityPoint(2.0, 0.1),
+    "array": SusceptibilityPoint(np.array([2.0, 3.0]), np.array([0.1, 0.0])),
+}
+
+
+@pytest.mark.parametrize("kind", POINTS)
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (0.0, "g must be > 0"),
+        (-2.0, "g must be > 0"),
+        (np.nan, "g must be finite"),
+        (np.inf, "g must be finite"),
+    ],
+)
+def test_correlation_refuses_a_bad_g(kind, g, message):
+    with pytest.raises(ValueError, match=message):
+        correlation_values(POINTS[kind], g)
+    with pytest.raises(ValueError, match=message):
+        coherence_from_chi(POINTS[kind], g)
+
+
+@pytest.mark.parametrize("kind", POINTS)
+def test_a_g_whose_square_underflows_reads_as_unphysical(kind):
+    # g^2 = 0: c = inf, or NaN where chi = 0; neither is in the band, and
+    # neither division warns.
+    c, physical = correlation_values(POINTS[kind], 1e-200)
+    assert not np.any(physical)
+    with pytest.raises(DataError, match="unphysical data point: correlation inf"):
+        coherence_from_chi(POINTS[kind], 1e-200)
+
+
+@pytest.mark.parametrize("g", [0.5, G_REF, 2.0023193, 7.3, 1e-100, 1e100])
+def test_correlation_keeps_the_bits_of_the_plain_formula(g):
+    t, chi = np.array([2.0, 35.0, 350.0]), np.array([0.1, 0.013, 1.7e-3])
+    expected = [2.0 * ti * xi / (g**2 * CURIE_EMU_K_PER_MOL) - 1.0
+                for ti, xi in zip(t.tolist(), chi.tolist())]
+    c, _ = correlation_values(SusceptibilityPoint(t, chi), g)
+    assert c.tolist() == expected
+    for ti, xi, ci in zip(t.tolist(), chi.tolist(), expected):
+        assert correlation_values(SusceptibilityPoint(ti, xi), g)[0] == ci
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.array([2.0, -1.0])])
+def test_bleaney_bowers_chi_refuses_a_nonpositive_temperature(t):
+    with pytest.raises(ValueError, match="temperature must be > 0 K"):
+        bleaney_bowers_chi(J_REF, G_REF, t)
 
 
 def test_ferromagnetic_coupling_has_no_crossing():

@@ -560,3 +560,16 @@ def test_spec_caps_steps():
     temp_spec(steps=MAX_STEPS)
     with pytest.raises(ValueError, match="at most"):
         temp_spec(steps=MAX_STEPS + 1)
+
+
+def test_oracle_column_is_clamped_at_zero_when_j_is_zero():
+    # At J = 0 the S_z state is diagonal, and the oracle's sum - trace
+    # rounds below zero on some rows; the table carries 0.0 there.
+    fixed = DimerParams(0.0, 2.0, 1.0)
+    spec = SweepSpec(SweepVariable.FIELD, 0.0, 5.0, 8, fixed, Basis.SZ)
+    table = run_sweep(spec)
+    params = DimerParams(0.0, 2.0, 1.0, table.column("B_tesla"))
+    raw = l1_coherence(gibbs_state(build_hamiltonian(params), 1.0)).value
+    assert raw.min() < 0.0
+    assert np.all(table.column("C_oracle") >= 0.0)
+    assert np.array_equal(table.column("C_oracle"), np.maximum(raw, 0.0))

@@ -64,6 +64,55 @@ def test_csv_reader_refuses_a_repeated_annotation_name(tmp_path):
     assert table.annotations == {"n": ("p",)}
 
 
+@pytest.mark.parametrize(
+    "names, values",
+    [(("a",), np.ones(3)), (("a", "b"), np.ones((2, 3))), (("a",), np.ones((1, 1, 1)))],
+    ids=["1-d", "three-values-two-names", "3-d"],
+)
+def test_table_refuses_values_that_are_not_rows_by_names(names, values):
+    with pytest.raises(ValueError, match="values must be rows x named columns"):
+        SweepTable(names, values, {}, {})
+
+
+@pytest.mark.parametrize("metadata", [{"g": 2.0}, {1: "one"}, {"note": None}])
+def test_table_refuses_metadata_that_is_not_strings(metadata):
+    with pytest.raises(ValueError, match="metadata keys and values must be strings"):
+        SweepTable(("a",), np.ones((1, 1)), {}, metadata)
+
+
+def test_csv_reader_skips_blank_lines_inside_the_table(tmp_path):
+    table = SweepTable(("T", "C"), np.array([[1.0, 0.5], [2.0, 0.25]]),
+                       {"note": ("p", "q")}, {"g": "2.0"})
+    path = tmp_path / "blank.csv"
+    emit(table, "csv", path, timestamp="T0")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    spaced = "\n  \n".join(lines[:-1]) + "\n\n" + lines[-1] + "\n\t\n"
+    path.write_text(spaced, encoding="utf-8")
+    back = read_table_csv(path)
+    assert back.column_names == table.column_names
+    assert np.array_equal(back.values, table.values)
+    assert back.annotations == table.annotations
+    assert back.metadata == {"g": "2.0", "timestamp": "T0"}
+
+
+@pytest.mark.parametrize("text", ["", "# g = 2.0\n\n", "\n  \n"])
+def test_csv_reader_refuses_a_file_without_a_header(tmp_path, text):
+    path = tmp_path / "headless.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        read_table_csv(path)
+    assert str(info.value) == f"malformed header: {path} has no header line"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_into_a_missing_directory_names_the_path(tmp_path, fmt):
+    path = tmp_path / "missing" / f"table.{fmt}"
+    with pytest.raises(OSError) as info:
+        emit(SweepTable(("a",), np.ones((1, 1)), {}, {}), fmt, path)
+    assert str(info.value).startswith(f"cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 # A file name that is not UTF-8 decodes to a lone surrogate, which neither
 # format can write.
 UNDECODABLE = os.fsdecode(b"a\xffb")
